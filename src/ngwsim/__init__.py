@@ -2,7 +2,6 @@
 
 from .errors import (
     DegenerateStateError,
-    EnvelopeError,
     QuadratureConvergenceError,
     UnphysicalCovarianceError,
 )

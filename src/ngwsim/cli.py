@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateStateError, EnvelopeError, QuadratureConvergenceError, UnphysicalCovarianceError
+from .errors import DegenerateStateError, QuadratureConvergenceError, UnphysicalCovarianceError
 from .estimator import bin_samples, replicate, sample, save_samples_csv
 from .fisher import (
     NONLOCAL_SATURATING_BASIS,
@@ -170,7 +170,8 @@ def write_manifest(path, command, entries, cfg_hash, outputs):
     for key in sorted(entries):
         lines.append(f"{key} = {entries[key]}")
     for out in outputs:
-        digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+        with open(out, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
         lines.append(f"output {os.path.basename(out)} sha256 = {digest}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -713,7 +714,7 @@ def main(argv=None):
             args._file_config = {}
         return args.func(args)
     except (ValueError, OSError, DegenerateStateError, UnphysicalCovarianceError,
-            QuadratureConvergenceError, EnvelopeError) as exc:
+            QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

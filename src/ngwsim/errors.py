@@ -15,7 +15,3 @@ class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message, achieved_tol):
         super().__init__(f"{message} (achieved relative tolerance {achieved_tol:.3e})")
         self.achieved_tol = achieved_tol
-
-
-class EnvelopeError(RuntimeError):
-    """Rejection-sampling envelope construction or bound violation."""

@@ -1,4 +1,4 @@
-"""Sampled estimation pipeline: rejection sampling, binning, Hellinger fit.
+"""Sampled estimation pipeline: exact mixture sampling, binning, Hellinger fit.
 
 Reproduces the measurement-side procedure: draw homodyne outcomes from the
 exact joint density, split the record in half, bin reference and displaced
@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EnvelopeError
 from .state import (
     QuadratureBasis,
     P_BASIS,
@@ -23,9 +22,6 @@ from .state import (
     displacement_direction,
     measurement_pdf,
 )
-
-_ENVELOPE_EPS = 0.5
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -48,66 +44,51 @@ def _rng_for(seed, stream=0):
     return np.random.Generator(bitgen)
 
 
-def _envelope_bound(density):
-    """Exact maximum of target/envelope for the scaled-Gaussian envelope.
+def _mixture(density):
+    """Exact mixture form of a measured density.
 
-    With envelope covariance sigma/(1 - eps) the ratio is
-    (y^T Q y + c) exp(-eps/2 y^T sigma^{-1} y) up to a constant; its maximum
-    lies along the dominant eigenvector of the whitened polynomial.
+    With sigma = L L^T and y = mean + L u the density is
+    (u^T W u + c) phi(u), W = L^T Q L = V diag(d) V^T and Tr W + c = 1. In the
+    eigenframe v = V^T u it is the mixture of a standard normal (weight c) and,
+    for each axis k (weight d_k), a chi distribution with 3 degrees of freedom
+    and random sign on axis k times a standard normal on the other axis.
+    Returns the weights (c, d_1, d_2) and the map y - mean = (L V) v.
     """
-    sig = density.sigma
-    chol = np.linalg.cholesky(sig)
-    white_q = chol.T @ density.polyQ @ chol
-    evals = np.linalg.eigvalsh(white_q)
-    d_max = float(evals[-1])
-    c = float(density.poly0)
-    if d_max <= 0.0:
-        if c <= 0.0:
-            raise EnvelopeError("density polynomial is nowhere positive")
-        return c
-    t_sq = max(0.0, 2.0 / _ENVELOPE_EPS - c / d_max)
-    return (d_max * t_sq + c) * math.exp(-0.5 * _ENVELOPE_EPS * t_sq)
+    chol = np.linalg.cholesky(density.sigma)
+    d, vecs = np.linalg.eigh(chol.T @ density.polyQ @ chol)
+    weights = np.array([density.poly0, d[0], d[1]], dtype=float)
+    if weights.min() < -1e-12:
+        raise ValueError(f"density polynomial is negative somewhere (weights {weights})")
+    return np.maximum(weights, 0.0), chol @ vecs
 
 
 def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     """Draw m i.i.d. outcomes from the measured joint density.
 
-    Rejection sampling against a widened Gaussian envelope; deterministic for
-    a given (seed, stream) pair, where nonzero streams select jumped Philox
-    substreams. The achieved acceptance rate is recorded on the result.
+    Exact mixture sampling (see _mixture): every pair starts as a standard
+    normal in the eigenframe; pairs drawn into an axis component get that
+    coordinate z replaced by sign(z) sqrt(z^2 + 2E), E ~ Exp(1), which is
+    chi-3 distributed with a random sign. Deterministic for a given
+    (seed, stream) pair, where nonzero streams select jumped Philox
+    substreams. No draw is rejected, so the acceptance rate is exactly 1.
     """
     if m < 1:
         raise ValueError("sample count must be at least 1")
     density = measurement_pdf(state, basis)
-    bound = _envelope_bound(density) * (1.0 + 1e-12)
-    keep = 1.0 - _ENVELOPE_EPS
-    chol_env = np.linalg.cholesky(density.sigma / keep)
-    sig_inv = np.linalg.inv(density.sigma)
+    weights, axes = _mixture(density)
     rng = _rng_for(seed, stream)
-    out = np.empty((m, 2))
-    got = 0
-    proposed = 0
-    rate_guess = 0.3
-    while got < m:
-        batch = int((m - got) / rate_guess * 1.15) + 256
-        z = rng.standard_normal((batch, 2)) @ chol_env.T
-        quad = np.einsum("ni,ij,nj->n", z, density.polyQ, z) + density.poly0
-        ratio = quad * np.exp(-0.5 * _ENVELOPE_EPS * np.einsum("ni,ij,nj->n", z, sig_inv, z))
-        if ratio.max() > bound * (1.0 + 1e-9):
-            raise EnvelopeError(f"envelope bound violated: {ratio.max():.6g} > {bound:.6g}")
-        accept = rng.random(batch) * bound < ratio
-        picked = z[accept]
-        take = min(len(picked), m - got)
-        out[got:got + take] = picked[:take]
-        got += take
-        proposed += batch
-        rate_guess = max(got / proposed, 0.01)
+    v = rng.standard_normal((m, 2))
+    comp = np.searchsorted(np.cumsum(weights)[:2], rng.random(m), side="right")
+    rows = np.flatnonzero(comp)
+    cols = comp[rows] - 1
+    z = v[rows, cols]
+    v[rows, cols] = np.copysign(np.sqrt(z * z + 2.0 * rng.standard_exponential(rows.size)), z)
     return SampleSet(
-        pairs=out + density.mean,
+        pairs=v @ axes.T + density.mean,
         seed=seed,
         spec=spec,
         basis=basis,
-        acceptance_rate=got / proposed,
+        acceptance_rate=1.0,
     )
 
 
@@ -138,37 +119,58 @@ class BinnedHistogram:
         return self.counts / self.total
 
 
+def _finite_pairs(data):
+    pairs = data.pairs if isinstance(data, SampleSet) else np.asarray(data)
+    if not np.isfinite(pairs).all():
+        raise ValueError("sample record holds non-finite pairs")
+    return pairs
+
+
+def _histogram(columns, shift, delta, half_range, n_bins):
+    """Histogram of the pairs (columns[0] - shift[0], columns[1] - shift[1]),
+    counted in one np.bincount pass over flat cell indices.
+
+    Along each axis the cell is floor((x - shift + half_range) / delta) + 1,
+    clipped to [0, n_bins + 1]: the border rows and columns of the padded
+    table collect the pairs outside the grid. The floating-point steps are
+    those of binning a shifted copy, so both give the same counts.
+    """
+    side = n_bins + 2
+    flat = 0
+    for x, s in zip(columns, shift):
+        t = x - s
+        t += half_range
+        t /= delta
+        np.floor(t, out=t)
+        t += 1.0
+        np.clip(t, 0.0, side - 1.0, out=t)
+        flat = flat * side + t.astype(np.intp)
+    padded = np.bincount(flat, minlength=side * side).reshape(side, side)
+    counts = np.ascontiguousarray(padded[1:-1, 1:-1])
+    total = int(counts.sum())
+    return BinnedHistogram(delta=float(delta), half_range=float(half_range), counts=counts,
+                           total=total, dropped=len(flat) - total)
+
+
 def bin_samples(data, delta, half_range):
     """Histogram sample pairs into half-open cells [edge, edge + delta).
 
     half_range must be a positive multiple of delta so the grid is symmetric
     about zero with an even number of bins per axis; out-of-range samples are
-    dropped and counted.
+    dropped and counted. Non-finite pairs raise ValueError.
     """
     if delta <= 0.0:
         raise ValueError("bin size must be positive")
     n_half = half_range / delta
     if half_range <= 0.0 or abs(n_half - round(n_half)) > 1e-9:
         raise ValueError("half_range must be a positive multiple of delta")
-    n_bins = 2 * int(round(n_half))
-    pairs = data.pairs if isinstance(data, SampleSet) else np.asarray(data)
-    idx = np.floor((pairs + half_range) / delta).astype(np.int64)
-    inside = np.all((idx >= 0) & (idx < n_bins), axis=1)
-    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
-    np.add.at(counts, (idx[inside, 0], idx[inside, 1]), 1)
-    total = int(inside.sum())
-    return BinnedHistogram(
-        delta=float(delta),
-        half_range=float(half_range),
-        counts=counts,
-        total=total,
-        dropped=len(pairs) - total,
-    )
+    pairs = _finite_pairs(data)
+    return _histogram(pairs.T, (0.0, 0.0), delta, half_range, 2 * int(round(n_half)))
 
 
 def default_half_range(data, delta):
     """6 max-axis standard deviations, rounded up to a multiple of delta."""
-    pairs = data.pairs if isinstance(data, SampleSet) else np.asarray(data)
+    pairs = _finite_pairs(data)
     spread = 6.0 * pairs.std(axis=0, ddof=1).max()
     return math.ceil(spread / delta - 1e-9) * delta
 
@@ -224,22 +226,22 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size < 4:
         raise ValueError("need at least 4 theta points for the parabola fit")
-    m_half = len(data.pairs) // 2
+    pairs = data.pairs
+    m_half = len(pairs) // 2
     if m_half < 1:
         raise ValueError("sample record too small to split")
-    ref_pairs = data.pairs[:m_half]
-    probe_pairs = data.pairs[m_half:2 * m_half]
     if half_range is None:
-        half_range = default_half_range(data, delta)
-    ref = bin_samples(ref_pairs, delta, half_range)
-    probe0 = bin_samples(probe_pairs, delta, half_range)
+        half_range = default_half_range(pairs, delta)
+    ref = bin_samples(pairs[:m_half], delta, half_range)
+    probe0 = bin_samples(pairs[m_half:2 * m_half], delta, half_range)
     if ref.total == 0 or probe0.total == 0:
         raise ValueError("all samples fell outside the binning range")
     n_occ = int(np.count_nonzero((ref.counts > 0) | (probe0.counts > 0)))
+    probe = np.ascontiguousarray(pairs[m_half:2 * m_half].T)
     direction = displacement_direction(sign, delta_axis)
     d2 = np.empty(theta_grid.size)
     for k, theta in enumerate(theta_grid):
-        shifted = bin_samples(probe_pairs - theta * direction, delta, half_range)
+        shifted = _histogram(probe, theta * direction, delta, half_range, ref.n_bins)
         d2[k] = hellinger_sq(ref, shifted)
     c0_hat, a_hat, se_c0, se_a = parabola_fit(theta_grid, d2)
     corr = 1.0 / 8.0 + (1.0 + n_occ) / (32.0 * m_half)
@@ -280,7 +282,8 @@ def _variance_with_error(values):
     n = len(values)
     var = float(np.var(values, ddof=1))
     centered = values - values.mean()
-    m4 = float(np.mean(centered**4))
+    centered *= centered
+    m4 = float(np.mean(centered * centered))
     se_sq = (m4 - var**2 * (n - 3) / (n - 1)) / n
     return var, math.sqrt(max(se_sq, 0.0))
 

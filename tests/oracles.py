@@ -261,6 +261,26 @@ def binned_hellinger_curvature(density, delta, half_range, thetas, direction):
     return float(8.0 * coef[1])
 
 
+def binned_witness_reference(r_a, r_b, phi, delta, thetas):
+    """Witness the sampled estimator converges to at bin size delta:
+    (E_ref, 8 a, Var p_A + Var p_B, half range).
+
+    8 a is binned_hellinger_curvature of the wavefunction density on cells at
+    multiples of delta over +-8 standard deviations, displaced along
+    x_A = x_B; the variances come from wavefunction_moment.
+    """
+    density = wavefunction_density(r_a, r_b, phi)
+
+    def moment(**powers):
+        return wavefunction_moment(r_a, r_b, phi, **powers)
+
+    var_p = (moment(p_a=2) - moment(p_a=1) ** 2) + (moment(p_b=2) - moment(p_b=1) ** 2)
+    spread = np.sqrt(max(moment(x_a=2), moment(x_b=2)))
+    half = delta * np.ceil(8 * spread / delta)
+    f_fit = binned_hellinger_curvature(density, delta, half, thetas, (1.0, 1.0))
+    return f_fit - var_p, f_fit, var_p, half
+
+
 # --- truncated Fock-space model ------------------------------------------------
 #
 # Conventions: x = a + a^dagger, p = i (a^dagger - a), so [x, p] = 2i and the

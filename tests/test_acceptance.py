@@ -10,7 +10,6 @@ the computed analysis with their PASS/FAIL line.
 """
 
 import os
-from functools import partial
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from ngwsim import (
 )
 
 from oracles import (
-    binned_hellinger_curvature,
+    binned_witness_reference,
     fi_binned,
     fock_density,
     fock_displacement_fi,
@@ -48,7 +47,6 @@ from oracles import (
     fock_p_variances,
     vnoisy_reference,
     wavefunction_density,
-    wavefunction_moment,
 )
 from test_state import random_specs
 
@@ -184,15 +182,10 @@ def test_criterion_5_estimator_end_to_end():
     # Exact cell probabilities of the wavefunction density on the estimator's
     # cells (edges at multiples of delta) and theta grid, fitted by the same
     # unweighted parabola, minus the exact local variances.
+    reference, f_fit, var_p, half = binned_witness_reference(
+        spec.r_a, spec.r_b, spec.phi_sub, delta, default_theta_grid())
     density = wavefunction_density(spec.r_a, spec.r_b, spec.phi_sub)
-    moment = partial(wavefunction_moment, spec.r_a, spec.r_b, spec.phi_sub)
-    var_p = (moment(p_a=2) - moment(p_a=1) ** 2) + (moment(p_b=2) - moment(p_b=1) ** 2)
-    spread = np.sqrt(max(moment(x_a=2), moment(x_b=2)))
-    half = delta * np.ceil(8 * spread / delta)
-    direction = (1.0, 1.0)  # balanced displacement along x_A = x_B
-    f_fit = binned_hellinger_curvature(density, delta, half, default_theta_grid(), direction)
-    f_binned = fi_binned(density, delta, half, direction)
-    reference = f_fit - var_p
+    f_binned = fi_binned(density, delta, half, (1.0, 1.0))  # balanced x_A = x_B
     gap = abs(summary.mean - reference)
     ok = gap <= 3 * summary.std
     bias = summary.mean - reference
