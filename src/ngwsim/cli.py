@@ -9,6 +9,7 @@ carries the configuration hash and seed.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -55,10 +56,11 @@ _CONFIG_KEYS = {
 
 
 def _workers():
-    try:
-        return max(0, int(os.environ.get("NGW_THREADS", "0") or 0))
-    except ValueError:
-        return 0
+    """Replicate threads from NGW_THREADS; unset or empty means serial."""
+    text = os.environ.get("NGW_THREADS", "")
+    if text and not text.isdecimal():
+        raise ValueError(f"NGW_THREADS must be a non-negative integer, got {text!r}")
+    return int(text or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +135,16 @@ def config_hash(entries):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _atomic_write(path, text):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text handle on a temporary file that replaces path when the block
+    ends; the temporary file is removed if writing fails."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,10 +160,10 @@ def _fmt(value):
 
 def write_csv(path, columns, rows, cfg_hash, seed):
     cols = list(columns) + ["config_hash", "seed"]
-    lines = [f"# ngw-sim v1, columns: {','.join(cols)}", ",".join(cols)]
-    for row in rows:
-        lines.append(",".join([_fmt(v) for v in row] + [cfg_hash, str(seed)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(f"# ngw-sim v1, columns: {','.join(cols)}\n{','.join(cols)}\n")
+        for row in rows:
+            handle.write(",".join([_fmt(v) for v in row] + [cfg_hash, str(seed)]) + "\n")
 
 
 def write_manifest(path, command, entries, cfg_hash, outputs):
@@ -173,7 +178,8 @@ def write_manifest(path, command, entries, cfg_hash, outputs):
         with open(out, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
         lines.append(f"output {os.path.basename(out)} sha256 = {digest}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _out_dir(args):
@@ -272,7 +278,7 @@ def cmd_fi_angles(args):
     gen = GeneratorSpec(kind, sign)
     step = _resolve(args, "step", float, np.pi / 20)
     state = build_state(spec)
-    angles, grid = angle_grid_scan(state, gen, step, workers=_workers())
+    angles, grid = angle_grid_scan(state, gen, step)
     entries = {"gen": kind, "sign": sign, "ra": spec.r_a, "rb": spec.r_b,
                "phi": spec.phi_sub, "eta": spec.eta, "step": step}
     cfg = config_hash(entries)
@@ -299,12 +305,8 @@ def cmd_sample(args):
                "eta": spec.eta, "samples": m, "seed": seed}
     cfg = config_hash(entries)
     path = os.path.join(out, "samples.csv")
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="ascii") as handle:
+    with _atomic_open(path) as handle:
         save_samples_csv(record, handle)
-    os.replace(tmp, path)
     entries["acceptance-rate"] = record.acceptance_rate
     write_manifest(os.path.join(out, "samples.manifest"), "sample", entries, cfg, [path])
     print(f"acceptance rate {record.acceptance_rate:.3f}")
@@ -503,11 +505,10 @@ def _repro_appA(out, cfg, entries):
 
 def _repro_appB(out, cfg, entries):
     paths = []
-    workers = _workers()
     for kind, r, step in (("shear", -0.2, np.pi / 20), ("phase", 0.2, np.pi / 100)):
         state = build_state(StateSpec(r, r))
         gen = GeneratorSpec(kind, -1)
-        angles, grid = angle_grid_scan(state, gen, step, workers=workers)
+        angles, grid = angle_grid_scan(state, gen, step)
         rows = [[pa, pb, grid[i, j]]
                 for i, pa in enumerate(angles) for j, pb in enumerate(angles)]
         path = os.path.join(out, f"appB_{kind}_anglemap.csv")
@@ -527,7 +528,7 @@ def _repro_appB(out, cfg, entries):
             r = sgn * DB_TO_R * s
             state = build_state(StateSpec(r, r))
             gen = GeneratorSpec(kind, -1)
-            scan = optimize_angles(state, gen, grid_step=np.pi / 20, workers=workers)
+            scan = optimize_angles(state, gen, grid_step=np.pi / 20)
             rows.append([kind, s, r, scan.f_max, qfi_pure(state, gen)])
     path = os.path.join(out, "appB_max_fi_vs_squeezing.csv")
     write_csv(path, ["gen", "s_db", "r", "max_local_fi", "qfi"], rows, cfg, 0)
@@ -616,8 +617,9 @@ def cmd_reproduce(args):
     else:
         raise ValueError(f"unknown reproduction target {target!r}")
     plot_path = os.path.join(out, f"plot_{target}.py")
-    _atomic_write(plot_path, _PLOT_TEMPLATE.format(
-        target=target, files=[os.path.basename(p) for p in paths]))
+    with _atomic_open(plot_path) as handle:
+        handle.write(_PLOT_TEMPLATE.format(
+            target=target, files=[os.path.basename(p) for p in paths]))
     write_manifest(os.path.join(out, f"{target}.manifest"), f"reproduce {target}",
                    entries, cfg, paths)
     for path in paths:

@@ -4,12 +4,12 @@ The measured joint density for any generator, parameter point and basis is a
 bivariate polynomial-times-Gaussian whose parameters depend smoothly on the
 estimation parameter. The integrand p (d log p / d theta)^2 is assembled from
 exact parameter derivatives (forward-mode matrix calculus through the
-symplectic family and the marginalization), so the only numerical step is the
-2-D quadrature. A central finite-difference derivative is kept as a
-validation fallback.
+symplectic family and the marginalization). In polar coordinates of the
+whitened eigenframe its radial integral is closed-form, so the only
+numerical step is a periodic 1-D integral over the angle.
 """
 
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +21,16 @@ from .state import (
     X_BASIS,
     _generator_symplectic,
     displacement_direction,
-    evolve,
-    measurement_pdf,
 )
 
 NONLOCAL_SATURATING_BASIS = QuadratureBasis(0.0, np.pi / 2, -np.pi / 4)
 
-# relative offsets breaking the alignment of quadrature nodes with nodal lines
-_SHIM = (3.7e-4, 1.1e-4)
+# agreement of two successive angular levels; the finer level's own error is
+# far smaller because the periodic rule converges geometrically
+_REL_TOL = 1e-10
+_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(80)
+_LAGUERRE_MOMENTS = _LAGUERRE_W[:, None] * (2.0 * _LAGUERRE_T[:, None]) ** np.arange(5)
+_E1_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21)]
 
 
 def _generator_symplectic_derivative(gen, theta):
@@ -58,9 +60,10 @@ def _generator_symplectic_derivative(gen, theta):
 
 
 def _measured_family_with_derivative(state, gen, basis, theta0):
-    """2-D marginal parameters and their exact theta-derivatives at theta0."""
+    """2-D marginal parameters (Sigma, Q, c) and their exact theta-derivatives
+    (with that of the mean) at theta0."""
     s_meas = basis.symplectic()
-    s4, shift = _generator_symplectic(gen, theta0)
+    s4, _ = _generator_symplectic(gen, theta0)
     ds4 = _generator_symplectic_derivative(gen, theta0)
     m_tot = s_meas @ s4
     dm_tot = s_meas @ ds4
@@ -72,7 +75,6 @@ def _measured_family_with_derivative(state, gen, basis, theta0):
     poly_q = inv_m.T @ state.polyQ @ inv_m
     d_poly_q = d_inv.T @ state.polyQ @ inv_m + inv_m.T @ state.polyQ @ d_inv
 
-    mean = m_tot @ (state.mean + shift)
     if gen.kind == "displacement":
         d4 = displacement_direction(gen.sign, gen.delta)
         d_mean = s_meas @ np.array([-d4[0], 0.0, -d4[1], 0.0])
@@ -106,90 +108,89 @@ def _measured_family_with_derivative(state, gen, basis, theta0):
     c2 = state.poly0 + np.trace(qww @ cond)
     d_c2 = np.trace(d_qww @ cond + qww @ d_cond)
 
-    params = (syy, q2, c2, mean[keep])
+    params = (syy, q2, c2)
     derivs = (d_syy, d_q2, d_c2, d_mean[keep])
     return params, derivs
 
 
-def _fi_integrand_analytic(params, derivs):
-    sigma, q2, c2, mean = params
-    d_sigma, d_q2, d_c2, d_mean = derivs
-    sig_inv = np.linalg.inv(sigma)
-    det = np.linalg.det(sigma)
-    norm = 1.0 / (2.0 * np.pi * np.sqrt(det))
-    trace_term = -0.5 * np.trace(sig_inv @ d_sigma)
-    inner = sig_inv @ d_sigma @ sig_inv
+def _radial_integrals(a, c):
+    """I[:, m] = integral over rho >= 0 of rho^(2m+1) e^(-rho^2/2) / (a rho^2 + c)
+    for m = 0..4 at every a >= 0 (c >= 0 is a scalar).
 
-    def integrand(points):
-        y = points - mean
-        quad = np.einsum("ni,ij,nj->n", y, q2, y) + c2
-        gauss = norm * np.exp(-0.5 * np.einsum("ni,ij,nj->n", y, sig_inv, y))
-        d_quad = (
-            np.einsum("ni,ij,nj->n", y, d_q2, y)
-            - 2.0 * (y @ (q2 @ d_mean))
-            + d_c2
-        )
-        d_log_gauss = (
-            trace_term
-            + y @ (sig_inv @ d_mean)
-            + 0.5 * np.einsum("ni,ij,nj->n", y, inner, y)
-        )
-        numer = d_quad + quad * d_log_gauss
-        dens = quad * gauss
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(dens < 1e-300, 0.0, numer * numer / np.where(quad > 0, quad, 1.0) * gauss)
-        return out
-
-    return integrand, (sigma, q2, c2, mean)
-
-
-def _fi_integrand_fd(state, gen, basis, theta0, step):
-    pdf0 = measurement_pdf(evolve(state, gen, theta0), basis)
-    pdf_plus = measurement_pdf(evolve(state, gen, theta0 + step), basis)
-    pdf_minus = measurement_pdf(evolve(state, gen, theta0 - step), basis)
-
-    def integrand(points):
-        dens = pdf0(points)
-        deriv = (pdf_plus(points) - pdf_minus(points)) / (2.0 * step)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(dens < 1e-300, 0.0, deriv * deriv / np.where(dens > 0, dens, 1.0))
-
-    params = (pdf0.sigma, pdf0.polyQ, pdf0.poly0, pdf0.mean)
-    return integrand, params
-
-
-def fi_continuous(state, gen, basis=X_BASIS, theta0=0.0, rel_tol=1e-6,
-                  derivative="analytic", fd_step=1e-4, n_sigma=10.0):
-    """Fisher information of the measured joint density at theta0.
-
-    derivative selects the exact parameter-derivative path ("analytic") or the
-    central finite-difference fallback ("fd") validated against it.
+    With t = rho^2 / 2 and s = c / 2a, I_m = 2^m J_m(s) / 2a where
+    J_m(s) = integral of t^m e^(-t) / (t + s) over t >= 0: Gauss-Laguerre for
+    s > 1 (a = 0 included), else the upward recursion
+    J_m = (m - 1)! - s J_(m-1) from J_0 = e^s E_1(s), which is stable there.
+    J_0 diverges at c = 0, where its coefficient vanishes; I[:, 0] is 0 there.
     """
-    if derivative == "analytic":
-        params, derivs = _measured_family_with_derivative(state, gen, basis, theta0)
-        integrand, params = _fi_integrand_analytic(params, derivs)
-    elif derivative == "fd":
-        integrand, params = _fi_integrand_fd(state, gen, basis, theta0, fd_step)
-    else:
-        raise ValueError("derivative must be 'analytic' or 'fd'")
-    sigma, q2, _, mean = params
-    # integrate in the polynomial eigenframe so near-nodal trenches of
-    # almost-degenerate densities are axis-aligned for the adaptive splitter
-    _, frame = np.linalg.eigh(q2)
-    cov = sigma + 2.0 * sigma @ q2 @ sigma
-    spread = np.sqrt(np.einsum("ij,jk,ik->i", frame.T, cov, frame.T))
-    half = n_sigma * spread
+    out = np.empty((len(a), 5))
+    wide = c > 2.0 * a
+    out[wide] = (1.0 / (2.0 * a[wide, None] * _LAGUERRE_T + c)) @ _LAGUERRE_MOMENTS
+    two_a = 2.0 * a[~wide]
+    s = c / two_a
+    # J_0 = e^s E_1(s) from the convergent series of E_1; unused at c = 0
+    j = (np.exp(s) * (np.polynomial.polynomial.polyval(s, _E1_SERIES) - np.euler_gamma - np.log(s))
+         if c > 0.0 else np.zeros_like(s))
+    out[~wide, 0] = j / two_a
+    for m in range(1, 5):
+        j = math.factorial(m - 1) - s * j
+        out[~wide, m] = 2.0**m * j / two_a
+    return out
 
-    def rotated(points):
-        return integrand(mean + points @ frame.T)
 
-    box = (
-        -half[0] + _SHIM[0] * half[0],
-        half[0] + _SHIM[0] * half[0],
-        -half[1] + _SHIM[1] * half[1],
-        half[1] + _SHIM[1] * half[1],
-    )
-    value, _err = integrate_adaptive(rotated, box, rel_tol=rel_tol)
+def _polar_integrand(params, derivs):
+    """FI integrand over the mapped angle psi, its radial part in closed form.
+
+    In the whitened eigenframe y - mean = M v of the measured density
+    (M^T Sigma^-1 M = 1, M^T Q M = diag(d_1, d_2)), the integrand is
+    N(rho, w)^2 e^(-rho^2/2) / (2 pi (A(w) rho^2 + c)) with
+    A = d_1 cos^2 w + d_2 sin^2 w and N = (dp/dtheta) / gauss, a quartic in
+    rho. Odd powers of rho in N^2 cancel between w and w + pi. Nodes are
+    pulled toward w = 0 and pi, where A is smallest, by
+    w = atan2(kappa sin psi, cos psi).
+    """
+    sigma, q2, c2 = params
+    d_sigma, d_q2, d_c2, d_mean = derivs
+    chol = np.linalg.cholesky(sigma)
+    d, frame = np.linalg.eigh(chol.T @ q2 @ chol)
+    m = chol @ frame
+    m_inv = np.linalg.inv(m)
+    p = m.T @ d_q2 @ m
+    # Roundoff-level eigenvalues and c are zeroed. The density then vanishes on
+    # a line (or at the centre); being >= 0 for every theta, so does its
+    # derivative, so P_kk and dc are zeroed too and N = 0 wherever p = 0.
+    scale = max(d[1], c2)
+    flat = d < 1e-12 * scale
+    d[flat] = 0.0
+    p[flat, flat] = 0.0
+    c, d_c = (c2, d_c2) if c2 >= 1e-12 * scale else (0.0, 0.0)
+    r = 0.5 * m_inv @ d_sigma @ m_inv.T
+    h = m_inv @ d_mean
+    t = -np.trace(r)
+    floor = max(d[0], c)
+    kappa = (floor / d[1]) ** 0.25 if 0.0 < floor < d[1] else 1.0
+
+    def integrand(psi):
+        e = np.array([np.cos(psi), kappa * np.sin(psi)])
+        norm_sq = np.sum(e * e, axis=0)
+        e /= np.sqrt(norm_sq)
+        a = d @ (e * e)
+        e_h, e_r = h @ e, np.einsum("in,ij,jn->n", e, r, e)
+        coef = [np.full_like(a, d_c + c * t), (c - 2.0 * d) * h @ e,
+                np.einsum("in,ij,jn->n", e, p, e) + c * e_r + a * t, a * e_h, a * e_r]
+        # even coefficients of N^2; the odd ones cancel over the circle
+        even = [sum(coef[i] * coef[2 * m - i] for i in range(max(0, 2 * m - 4), min(2 * m, 4) + 1))
+                for m in range(5)]
+        # dw/dpsi = kappa / (cos^2 psi + kappa^2 sin^2 psi)
+        return np.einsum("mn,nm->n", even, _radial_integrals(a, c)) * kappa / (2 * np.pi * norm_sq)
+
+    return integrand
+
+
+def fi_continuous(state, gen, basis=X_BASIS, theta0=0.0):
+    """Fisher information of the measured joint density at theta0."""
+    params, derivs = _measured_family_with_derivative(state, gen, basis, theta0)
+    value, _err = integrate_adaptive(_polar_integrand(params, derivs), rel_tol=_REL_TOL)
     return value
 
 
@@ -219,37 +220,17 @@ def _golden_section(fun, lo, hi, iterations=26):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def angle_grid_scan(state, gen, grid_step, theta0=0.0, rel_tol=1e-6, workers=None):
+def angle_grid_scan(state, gen, grid_step, theta0=0.0):
     """Fisher information on the (phi_A, phi_B) grid covering [0, pi)^2.
 
     Returns (angles, matrix) with matrix[i, j] the FI at (angles[i], angles[j]).
     """
     angles = np.arange(0.0, np.pi - 1e-12, grid_step)
-    tasks = [(pa, pb) for pa in angles for pb in angles]
-    if workers is None:
-        workers = int(os.environ.get("NGW_THREADS", "0") or 0)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = [(state, gen, theta0, rel_tol, part)
-                 for part in np.array_split(np.asarray(tasks), workers * 4)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, chunk))
-        values = np.concatenate(results)
-    else:
-        values = np.array([
-            fi_continuous(state, gen, QuadratureBasis(pa, pb), theta0, rel_tol)
-            for pa, pb in tasks
-        ])
-    return angles, values.reshape(len(angles), len(angles))
-
-
-def _scan_chunk(args):
-    state, gen, theta0, rel_tol, pairs = args
-    return np.array([
-        fi_continuous(state, gen, QuadratureBasis(pa, pb), theta0, rel_tol)
-        for pa, pb in pairs
+    values = np.array([
+        fi_continuous(state, gen, QuadratureBasis(pa, pb), theta0)
+        for pa in angles for pb in angles
     ])
+    return angles, values.reshape(len(angles), len(angles))
 
 
 @dataclass(frozen=True)
@@ -264,14 +245,13 @@ class AngleScanResult:
     f_grid: np.ndarray
 
 
-def optimize_angles(state, gen, grid_step=np.pi / 20, theta0=0.0, rel_tol=1e-6,
-                    refine=True, workers=None):
+def optimize_angles(state, gen, grid_step=np.pi / 20, theta0=0.0, refine=True):
     """Exhaustive grid scan of the FI over local angles with local refinement.
 
     The grid argmax breaks ties toward the lexicographically smallest pair;
     refinement runs golden-section sweeps along each axis within one grid step.
     """
-    angles, grid = angle_grid_scan(state, gen, grid_step, theta0, rel_tol, workers)
+    angles, grid = angle_grid_scan(state, gen, grid_step, theta0)
     best = grid.max()
     # ties within quadrature noise (symmetric twin maxima) break toward the
     # lexicographically smallest angle pair
@@ -284,10 +264,10 @@ def optimize_angles(state, gen, grid_step=np.pi / 20, theta0=0.0, rel_tol=1e-6,
     if refine:
         for _ in range(2):
             pa, f_best = _golden_section(
-                lambda t: fi_continuous(state, gen, QuadratureBasis(t, pb), theta0, rel_tol),
+                lambda t: fi_continuous(state, gen, QuadratureBasis(t, pb), theta0),
                 pa - grid_step, pa + grid_step)
             pb, f_best = _golden_section(
-                lambda t: fi_continuous(state, gen, QuadratureBasis(pa, t), theta0, rel_tol),
+                lambda t: fi_continuous(state, gen, QuadratureBasis(pa, t), theta0),
                 pb - grid_step, pb + grid_step)
         result.update(phi_a=pa % np.pi, phi_b=pb % np.pi, f_max=f_best)
     return AngleScanResult(**result)
@@ -303,11 +283,11 @@ class SaturationReport:
     nonlocal_gap: float
 
 
-def saturation_check(state, gen, grid_step=np.pi / 20, rel_tol=1e-6, workers=None):
+def saturation_check(state, gen, grid_step=np.pi / 20):
     """Compare the best local-angle FI and the mixed-mode basis FI to the QFI."""
     qfi = qfi_pure(state, gen)
-    scan = optimize_angles(state, gen, grid_step=grid_step, rel_tol=rel_tol, workers=workers)
-    f_nonlocal = fi_continuous(state, gen, NONLOCAL_SATURATING_BASIS, rel_tol=rel_tol)
+    scan = optimize_angles(state, gen, grid_step=grid_step)
+    f_nonlocal = fi_continuous(state, gen, NONLOCAL_SATURATING_BASIS)
     return SaturationReport(
         qfi=qfi,
         best_local_f=scan.f_max,

@@ -40,6 +40,8 @@ class GeneratorSpec:
             raise ValueError(f"kind must be one of {GENERATOR_KINDS}, got {self.kind!r}")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        if not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.delta != 0.0 and self.kind != "displacement":
             raise ValueError("delta applies to the displacement generator only")
 

@@ -1,102 +1,39 @@
-"""Adaptive two-dimensional quadrature on rectangular panels.
+"""Midpoint rule for smooth 2 pi-periodic integrands, refined by tripling.
 
-Tensor-product Gauss-Legendre rules of two orders give a per-panel error
-proxy; the worst panels are subdivided until the summed proxy meets the
-relative tolerance. Subdivision is anisotropic: a panel chosen for
-refinement is probed with mixed-order rules and split only along the
-direction that is underresolved, so narrow axis-aligned features (the
-near-nodal trenches of almost-degenerate densities) are drilled into at
-logarithmic cost. Integrand evaluation is batched across panels, so the
-integrand must accept an (N, 2) array of points.
+For a periodic analytic integrand the midpoint (equivalently trapezoid) rule
+converges geometrically in the node count (Trefethen & Weideman, SIAM Rev.
+56, 385 (2014)), so the difference of two successive levels is a pessimistic
+error estimate for the finer one. Tripling keeps every earlier node, so each
+level evaluates only the new ones; every level has an even node count, so no
+node lands on 0 or pi. The integrand takes a 1-D array of angles.
 """
 
 import numpy as np
 
 from .errors import QuadratureConvergenceError
 
-_ORDER_HI = 15
-_ORDER_LO = 7
-_NODES = {
-    _ORDER_HI: np.polynomial.legendre.leggauss(_ORDER_HI),
-    _ORDER_LO: np.polynomial.legendre.leggauss(_ORDER_LO),
-}
 
+def integrate_adaptive(f, rel_tol=1e-10, max_nodes=2 * 3**10):
+    """Integrate the 2 pi-periodic f over one period, from 18 nodes, until two
+    successive levels agree to rel_tol. Returns (value, error_estimate).
 
-def _panel_integrals(f, cx, cy, hx, hy, order_x, order_y):
-    """Tensor GL integrals over panels given centers and half-widths (P,)."""
-    nodes_x, weights_x = _NODES[order_x]
-    nodes_y, weights_y = _NODES[order_y]
-    px = cx[:, None, None] + hx[:, None, None] * nodes_x[None, :, None]
-    py = cy[:, None, None] + hy[:, None, None] * nodes_y[None, None, :]
-    px, py = np.broadcast_arrays(px, np.broadcast_to(py, px.shape[:1] + (len(nodes_x), len(nodes_y))))
-    pts = np.column_stack([px.ravel(), py.ravel()])
-    vals = f(pts).reshape(-1, len(nodes_x), len(nodes_y))
-    return hx * hy * np.einsum("i,j,pij->p", weights_x, weights_y, vals)
-
-
-def integrate_adaptive(f, box, rel_tol=1e-6, max_panels=20000, initial_split=4):
-    """Integrate f over box = (x0, x1, y0, y1) to the requested relative
-    tolerance. Returns (value, error_estimate).
-
-    Raises QuadratureConvergenceError if the panel budget is exhausted first.
+    Raises QuadratureConvergenceError if the next level would exceed
+    max_nodes first.
     """
-    x0, x1, y0, y1 = box
-    edges_x = np.linspace(x0, x1, initial_split + 1)
-    edges_y = np.linspace(y0, y1, initial_split + 1)
-    cx, cy, hx, hy = [], [], [], []
-    for i in range(initial_split):
-        for j in range(initial_split):
-            cx.append(0.5 * (edges_x[i] + edges_x[i + 1]))
-            cy.append(0.5 * (edges_y[j] + edges_y[j + 1]))
-            hx.append(0.5 * (edges_x[i + 1] - edges_x[i]))
-            hy.append(0.5 * (edges_y[j + 1] - edges_y[j]))
-    cx, cy, hx, hy = map(np.asarray, (cx, cy, hx, hy))
-
-    def evaluate(cx_, cy_, hx_, hy_):
-        hi = _panel_integrals(f, cx_, cy_, hx_, hy_, _ORDER_HI, _ORDER_HI)
-        lo = _panel_integrals(f, cx_, cy_, hx_, hy_, _ORDER_LO, _ORDER_LO)
-        return hi, np.abs(hi - lo)
-
-    vals, errs = evaluate(cx, cy, hx, hy)
-
+    n, total, value = 18, 0.0, np.inf
+    nodes = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     while True:
-        total = vals.sum()
-        err = errs.sum()
-        tol = rel_tol * max(abs(total), 1e-12)
-        if err <= tol:
-            return float(total), float(err)
-        if len(vals) >= max_panels:
+        total += float(np.sum(f(nodes)))
+        coarse, value = value, 2.0 * np.pi * total / n
+        err = abs(value - coarse)  # infinite on the first level
+        if err <= rel_tol * max(abs(value), 1e-12):
+            return value, err
+        if 3 * n > max_nodes:
             raise QuadratureConvergenceError(
-                "adaptive quadrature did not converge",
-                achieved_tol=err / max(abs(total), 1e-12),
+                "periodic quadrature did not converge",
+                achieved_tol=err / max(abs(value), 1e-12),
             )
-        k = min(8, len(vals))
-        worst = np.argpartition(errs, -k)[-k:]
-        # directional error probes decide whether to halve in x, in y, or both
-        hi_w = vals[worst]
-        low_y = _panel_integrals(f, cx[worst], cy[worst], hx[worst], hy[worst],
-                                 _ORDER_HI, _ORDER_LO)
-        low_x = _panel_integrals(f, cx[worst], cy[worst], hx[worst], hy[worst],
-                                 _ORDER_LO, _ORDER_HI)
-        err_y = np.abs(low_y - hi_w)
-        err_x = np.abs(low_x - hi_w)
-        ncx, ncy, nhx, nhy = [], [], [], []
-        for pos, idx in enumerate(worst):
-            split_x = err_x[pos] > 0.25 * err_y[pos]
-            split_y = err_y[pos] > 0.25 * err_x[pos]
-            sx = (-0.5, 0.5) if split_x else (0.0,)
-            sy = (-0.5, 0.5) if split_y else (0.0,)
-            for dx in sx:
-                for dy in sy:
-                    ncx.append(cx[idx] + dx * hx[idx])
-                    ncy.append(cy[idx] + dy * hy[idx])
-                    nhx.append(hx[idx] * (0.5 if split_x else 1.0))
-                    nhy.append(hy[idx] * (0.5 if split_y else 1.0))
-        new_vals, new_errs = evaluate(*map(np.asarray, (ncx, ncy, nhx, nhy)))
-        keep = np.setdiff1d(np.arange(len(vals)), worst)
-        cx = np.concatenate([cx[keep], ncx])
-        cy = np.concatenate([cy[keep], ncy])
-        hx = np.concatenate([hx[keep], nhx])
-        hy = np.concatenate([hy[keep], nhy])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        # the nodes (k + 1/2) h of this level are the centres of triples of the next
+        old = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        offset = 2.0 * np.pi / (3 * n)
+        nodes, n = np.concatenate([old - offset, old + offset]), 3 * n

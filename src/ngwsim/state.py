@@ -50,6 +50,8 @@ class StateSpec:
     eta: float = 0.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.r_a) and np.isfinite(self.r_b)):
+            raise ValueError(f"r_a and r_b must be finite, got {self.r_a}, {self.r_b}")
         if not 0.0 <= self.phi_sub <= np.pi / 2:
             raise ValueError(f"phi_sub must lie in [0, pi/2], got {self.phi_sub}")
         if not 0.0 <= self.eta < 1.0:
@@ -74,6 +76,8 @@ class QuadratureBasis:
     nonlocal_mix: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.phi_a, self.phi_b, self.nonlocal_mix])):
+            raise ValueError("basis angles must be finite")
         object.__setattr__(self, "phi_a", float(self.phi_a) % TWO_PI)
         object.__setattr__(self, "phi_b", float(self.phi_b) % TWO_PI)
         object.__setattr__(self, "nonlocal_mix", float(self.nonlocal_mix) % TWO_PI)

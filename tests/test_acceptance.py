@@ -9,8 +9,6 @@ of the lossy state and its mixed-state quantum Fisher information. Both print
 the computed analysis with their PASS/FAIL line.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -49,8 +47,6 @@ from oracles import (
     wavefunction_density,
 )
 from test_state import random_specs
-
-WORKERS = max(2, int(os.environ.get("NGW_THREADS", "2") or 2))
 
 
 def report(name, passed, detail):
@@ -125,8 +121,7 @@ def test_criterion_4_appendix_reproduction():
     # shearing at r = -0.2 on the pi/20 grid
     state = build_state(StateSpec(-0.2, -0.2))
     gen = GeneratorSpec("shear", -1)
-    scan = optimize_angles(state, gen, grid_step=np.pi / 20, refine=False,
-                           workers=WORKERS)
+    scan = optimize_angles(state, gen, grid_step=np.pi / 20, refine=False)
     if not (abs(scan.grid_phi_a - 7 * np.pi / 20) < 1e-9
             and abs(scan.grid_phi_b - 13 * np.pi / 20) < 1e-9):
         failures.append(f"shear argmax ({scan.grid_phi_a:.4f}, {scan.grid_phi_b:.4f})")
@@ -146,8 +141,7 @@ def test_criterion_4_appendix_reproduction():
     # phase shift at r = 0.2 on the pi/100 grid
     state = build_state(StateSpec(0.2, 0.2))
     gen = GeneratorSpec("phase", -1)
-    scan = optimize_angles(state, gen, grid_step=np.pi / 100, refine=False,
-                           workers=WORKERS)
+    scan = optimize_angles(state, gen, grid_step=np.pi / 100, refine=False)
     if not (abs(scan.grid_phi_a - 13 * np.pi / 100) < 1e-9
             and abs(scan.grid_phi_b - 87 * np.pi / 100) < 1e-9):
         failures.append(f"phase argmax ({scan.grid_phi_a:.4f}, {scan.grid_phi_b:.4f})")

@@ -108,6 +108,17 @@ class TestSampleEstimate:
         manifest = (out / "samples.manifest").read_text()
         assert "acceptance-rate" in manifest and "sha256" in manifest
 
+    def test_failed_sample_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
+        def fail_midway(record, handle):
+            handle.write("x_a,x_b\n0.1,0.2\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("ngwsim.cli.save_samples_csv", fail_midway)
+        out = tmp_path / "s"
+        assert run_cli("sample", "--samples", 100, "--seed", 1, "--out", out) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_estimate_outputs(self, tmp_path):
         out = tmp_path / "e"
         assert run_cli("estimate", "--ra", 0.2, "--rb", 0.2, "--samples", 40000,
@@ -178,6 +189,12 @@ class TestReproduce:
                        "--sample-counts", "40000", "--deltas", "0.2") == 0
         _, rows = read_csv(out / "fig6_discretization.csv")
         assert len(rows) == 4  # two states x two loss values
+
+    @pytest.mark.parametrize("value", ["two", "-1", "1.5"])
+    def test_invalid_threads_env_is_an_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("NGW_THREADS", value)
+        assert run_cli("estimate", "--samples", 1000, "--reps", 1, "--out", tmp_path) == 1
+        assert "NGW_THREADS" in capsys.readouterr().err
 
     def test_threads_env_smoke(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NGW_THREADS", "2")

@@ -1,24 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ngwsim import (
     GeneratorSpec,
     NONLOCAL_SATURATING_BASIS,
+    P_BASIS,
     QuadratureBasis,
     StateSpec,
+    X_BASIS,
     apply_loss,
     build_state,
+    evolve,
     fi_continuous,
+    measurement_pdf,
     optimize_angles,
     qfi_pure,
     saturation_check,
 )
-from ngwsim.fisher import angle_grid_scan
 
-from oracles import fi_lossy_symmetric_1d
+from oracles import fi_central_difference, fi_lossy_symmetric_1d
 from test_state import random_specs
 
 DISP = GeneratorSpec("displacement", +1)
+
+
+def panel_oracle_fi(state, gen, basis, step=1e-4):
+    """FI from the central difference of three measured densities, integrated
+    by the adaptive 2-D panel oracle."""
+    pdfs = [measurement_pdf(evolve(state, gen, t), basis) for t in (-step, 0.0, step)]
+    return fi_central_difference(*pdfs, step)
 
 
 class TestDisplacementFI:
@@ -46,11 +58,14 @@ class TestDisplacementFI:
     def test_lossy_value_matches_1d_oracle(self):
         r, eta = 0.2, 0.1
         state = apply_loss(build_state(StateSpec(r, r)), eta)
-        fi = fi_continuous(state, DISP, rel_tol=1e-8)
+        fi = fi_continuous(state, DISP)
         assert abs(fi - fi_lossy_symmetric_1d(r, eta)) < 1e-6
 
 
 class TestDerivativePaths:
+    """fi_continuous (exact derivatives, polar quadrature) against the
+    central-difference FI integrated by the 2-D panel oracle."""
+
     @pytest.mark.parametrize("kind,sign,basis", [
         ("displacement", +1, QuadratureBasis(0.0, 0.0)),
         ("phase", -1, QuadratureBasis(0.41, 2.73)),
@@ -60,15 +75,60 @@ class TestDerivativePaths:
     def test_fd_matches_analytic(self, kind, sign, basis):
         state = build_state(StateSpec(0.2, 0.2) if kind != "shear" else StateSpec(-0.2, -0.2))
         gen = GeneratorSpec(kind, sign)
-        exact = fi_continuous(state, gen, basis, derivative="analytic")
+        exact = fi_continuous(state, gen, basis)
         for step in (1e-4, 1e-5):
-            approx = fi_continuous(state, gen, basis, derivative="fd", fd_step=step)
+            approx = panel_oracle_fi(state, gen, basis, step)
             assert abs(approx / exact - 1.0) < 1e-6
 
-    def test_unknown_derivative_mode(self):
-        state = build_state(StateSpec(0.2, 0.2))
-        with pytest.raises(ValueError):
-            fi_continuous(state, DISP, derivative="nope")
+    @pytest.mark.parametrize("kind,sign,spec,eta,basis", [
+        *[(kind, sign, spec, eta, basis)
+          for kind, sign, spec in (
+              ("displacement", +1, StateSpec(0.2, 0.2)),
+              ("phase", -1, StateSpec(0.3, -0.5, 0.6)),
+              ("shear", -1, StateSpec(-0.2, -0.4)),
+              ("squeeze", +1, StateSpec(0.4, 0.1, 1.0)))
+          for eta, basis in ((1e-4, QuadratureBasis(0.41, 2.73)),
+                             (1e-3, QuadratureBasis(0.41, 2.73)),
+                             (1e-4, X_BASIS),
+                             (0.0, QuadratureBasis(0.3, 1.2, 0.7)))],
+        # x-x and p-p points of the benchmark's angle maps, where the FI is 0
+        *[(kind, -1, StateSpec(r, r), 0.0, basis)
+          for kind, r in (("shear", -0.2), ("phase", 0.2))
+          for basis in (X_BASIS, P_BASIS)],
+    ])
+    def test_matches_panel_oracle(self, kind, sign, spec, eta, basis):
+        state = build_state(spec)
+        if eta > 0.0:
+            state = apply_loss(state, eta)
+        gen = GeneratorSpec(kind, sign)
+        reference = panel_oracle_fi(state, gen, basis)
+        assert abs(fi_continuous(state, gen, basis) - reference) < 1e-6 * max(reference, 1.0)
+
+
+@st.composite
+def fi_cases(draw):
+    """Spec (pure or lossy) x basis (local or mixed-mode) x generator."""
+    r_a, r_b = draw(st.floats(-1.2, 1.2)), draw(st.floats(-1.2, 1.2))
+    phi = draw(st.floats(0.05, np.pi / 2 - 0.05))
+    assume(abs(np.sinh(r_a) * np.cos(phi)) > 1e-2 or abs(np.sinh(r_b) * np.sin(phi)) > 1e-2)
+    eta = draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.95)))
+    angle = st.floats(0.0, np.pi)
+    basis = QuadratureBasis(draw(angle), draw(angle), draw(st.one_of(st.just(0.0), angle)))
+    gen = GeneratorSpec(draw(st.sampled_from(("displacement", "phase", "shear", "squeeze"))),
+                        draw(st.sampled_from((+1, -1))))
+    return StateSpec(r_a, r_b, phi, eta), basis, gen
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(fi_cases())
+    def test_fi_finite_and_bounded(self, case):
+        spec, basis, gen = case
+        state = build_state(spec)
+        fi = fi_continuous(state, gen, basis)
+        assert np.isfinite(fi) and fi >= 0.0
+        if state.pure:
+            assert fi <= qfi_pure(state, gen) * (1.0 + 1e-9)
 
 
 class TestQfiPure:
@@ -140,13 +200,6 @@ class TestAngleOptimization:
         scan = optimize_angles(state, DISP, grid_step=np.pi / 10, refine=False)
         assert scan.grid_phi_a == 0.0 and scan.grid_phi_b == 0.0
         assert abs(scan.f_grid_max / qfi_pure(state, DISP) - 1.0) < 1e-5
-
-    def test_parallel_scan_matches_serial(self):
-        state = build_state(StateSpec(0.2, 0.2))
-        gen = GeneratorSpec("phase", -1)
-        _, serial = angle_grid_scan(state, gen, np.pi / 4)
-        _, parallel = angle_grid_scan(state, gen, np.pi / 4, workers=2)
-        assert np.max(np.abs(serial - parallel)) < 1e-12
 
     def test_saturation_report_displacement(self):
         # the x-plane already saturates; the mixed basis is blind to the

@@ -15,12 +15,14 @@ from ngwsim import (
 )
 
 from oracles import (
+    PanelBudgetError,
     binned_hellinger_curvature,
     fi_binned,
     fock_density,
     fock_displacement_fi,
     fock_displacement_qfi,
     fock_p_variances,
+    integrate_panels,
     vnoisy_reference,
     wavefunction_density,
 )
@@ -58,8 +60,7 @@ class TestFockOracle:
         for spec, eta in zip(LOSSY_SPECS, (0.1, 0.6)):
             rho = fock_density(spec.r_a, spec.r_b, spec.phi_sub, eta)
             for sign in (+1, -1):
-                fi = fi_continuous(lossy_state(spec, eta),
-                                   GeneratorSpec("displacement", sign), rel_tol=1e-9)
+                fi = fi_continuous(lossy_state(spec, eta), GeneratorSpec("displacement", sign))
                 assert abs(fock_displacement_fi(rho, sign) / fi - 1.0) < 1e-6
 
     def test_weak_squeezing_ceiling(self):
@@ -87,3 +88,40 @@ class TestBinnedOracle:
         thetas = np.linspace(-1e-3, 1e-3, 10)
         curvature = binned_hellinger_curvature(self.DENSITY, 0.1, 8.0, thetas, (1.0, 1.0))
         assert abs(curvature / fi_binned(self.DENSITY, 0.1, 8.0, (1.0, 1.0)) - 1.0) < 1e-4
+
+
+class TestPanelQuadrature:
+    """The adaptive 2-D panel integrator behind fi_central_difference."""
+
+    def test_gaussian_normalization(self):
+        def gauss(pts):
+            return np.exp(-0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)) / (2 * np.pi)
+
+        value, err = integrate_panels(gauss, (-10, 10, -10, 10), rel_tol=1e-8)
+        assert abs(value - 1.0) < 1e-8
+        assert err < 1e-8
+
+    def test_polynomial_times_gaussian(self):
+        # E[x^2 y^4] for independent standard normals = 3
+        def f(pts):
+            g = np.exp(-0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)) / (2 * np.pi)
+            return pts[:, 0] ** 2 * pts[:, 1] ** 4 * g
+
+        value, _ = integrate_panels(f, (-12, 12, -12, 12), rel_tol=1e-9)
+        assert abs(value - 3.0) < 1e-8
+
+    def test_anisotropic_box(self):
+        def f(pts):
+            return np.exp(-0.5 * (pts[:, 0] ** 2 / 9 + pts[:, 1] ** 2)) / (2 * np.pi * 3)
+
+        value, _ = integrate_panels(f, (-30, 30, -10, 10), rel_tol=1e-8)
+        assert abs(value - 1.0) < 1e-7
+
+    def test_budget_exhaustion_raises(self):
+        def oscillatory(pts):
+            g = np.exp(-0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 9)
+            return np.cos(40 * pts[:, 0]) ** 2 * np.cos(40 * pts[:, 1]) ** 2 * g
+
+        with pytest.raises(PanelBudgetError) as err:
+            integrate_panels(oscillatory, (-10, 10, -10, 10), rel_tol=1e-10, max_panels=20)
+        assert err.value.achieved_tol > 1e-10

@@ -49,6 +49,18 @@ class TestStateSpec:
         with pytest.raises(ValueError):
             StateSpec(0.2, 0.2, eta=-0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: StateSpec(np.nan, 0.2),
+        lambda: StateSpec(0.2, np.inf),
+        lambda: StateSpec(0.2, 0.2, phi_sub=np.nan),
+        lambda: StateSpec(0.2, 0.2, eta=np.nan),
+        lambda: QuadratureBasis(np.nan, 0.0),
+        lambda: QuadratureBasis(0.0, 0.0, -np.inf),
+    ])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateStateError):
             StateSpec(0.0, 0.0)
@@ -236,3 +248,5 @@ class TestEvolve:
     def test_delta_restricted_to_displacement(self):
         with pytest.raises(ValueError):
             GeneratorSpec("phase", +1, delta=0.3)
+        with pytest.raises(ValueError):
+            GeneratorSpec("displacement", +1, delta=np.nan)
