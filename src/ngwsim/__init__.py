@@ -36,10 +36,10 @@ from .fisher import (
 )
 from .moments import (
     GeneratorSpec,
+    displacement_direction,
     generator_covariance,
     generator_total_variance,
     generator_variance,
-    moment_xp,
     quad_moment,
 )
 from .state import (
@@ -51,7 +51,6 @@ from .state import (
     X_BASIS,
     apply_loss,
     build_state,
-    displacement_direction,
     evolve,
     measurement_pdf,
     squeezing_db,

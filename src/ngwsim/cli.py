@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateStateError, QuadratureConvergenceError, UnphysicalCovarianceError
-from .estimator import bin_samples, replicate, sample, save_samples_csv
+from .estimator import bin_samples, default_theta_grid, replicate, sample, save_samples_csv
 from .fisher import (
     NONLOCAL_SATURATING_BASIS,
     angle_grid_scan,
@@ -237,6 +237,13 @@ def _spec_from(args):
     return StateSpec(r_a, r_b, phi, eta)
 
 
+def _fi_witness(state, gen, basis=X_BASIS, theta0=0.0):
+    """(F, Var H_A, Var H_B, E) with the witness E = F - 4 (Var H_A + Var H_B)."""
+    fi = fi_continuous(state, gen, basis, theta0)
+    var_a, var_b = generator_variance(state, gen, "A"), generator_variance(state, gen, "B")
+    return fi, var_a, var_b, witness_value(fi, var_a, var_b)
+
+
 def cmd_fi(args):
     out = _out_dir(args)
     spec = _spec_from(args)
@@ -251,10 +258,7 @@ def cmd_fi(args):
     )
     theta0 = _resolve(args, "theta0", float, 0.0)
     state = build_state(spec)
-    fi = fi_continuous(state, gen, basis, theta0)
-    var_a = generator_variance(state, gen, "A")
-    var_b = generator_variance(state, gen, "B")
-    e_val = witness_value(fi, var_a, var_b)
+    fi, var_a, var_b, e_val = _fi_witness(state, gen, basis, theta0)
     qfi = qfi_pure(state, gen) if state.pure else float("nan")
     entries = {"gen": kind, "sign": sign, "delta-axis": delta, "ra": spec.r_a,
                "rb": spec.r_b, "phi": spec.phi_sub, "eta": spec.eta,
@@ -326,15 +330,8 @@ def cmd_estimate(args):
     delta_axis = _resolve(args, "delta-axis", float, 0.0)
     theta_max = _resolve(args, "theta-max", float, 0.05)
     theta_steps = int(_resolve(args, "theta-steps", int, 20))
-    from .estimator import default_theta_grid
-
     grid = default_theta_grid(theta_max, theta_steps)
-    state = build_state(spec)
-    gen = GeneratorSpec("displacement", sign, delta_axis)
-    fi_theory = fi_continuous(state, gen)
-    theory = witness_value(fi_theory,
-                           generator_variance(state, gen, "A"),
-                           generator_variance(state, gen, "B"))
+    theory = _fi_witness(build_state(spec), GeneratorSpec("displacement", sign, delta_axis))[3]
     summary = replicate(spec, m, reps, seed, delta=delta, theta_grid=grid,
                         half_range=half_range, sign=sign, delta_axis=delta_axis,
                         theory=theory, workers=_workers())
@@ -376,10 +373,7 @@ def _witness_vs_loss(r_a, r_b, sign, etas):
     rows = []
     for eta in etas:
         state = apply_loss(base, eta) if eta > 0 else base
-        fi = fi_continuous(state, gen)
-        e_val = witness_value(fi,
-                              generator_variance(state, gen, "A"),
-                              generator_variance(state, gen, "B"))
+        fi, _, _, e_val = _fi_witness(state, gen)
         rows.append((eta, fi, e_val))
     return rows
 
@@ -474,12 +468,7 @@ def _repro_fig6(out, cfg, entries, seed, samples_list, deltas, reps):
     for tag, (ra, rb, sign) in (("a", (0.2, 0.2, +1)), ("b", (0.2, -0.2, -1))):
         for eta in (0.0, 0.1):
             spec = StateSpec(ra, rb, eta=eta)
-            state = build_state(spec)
-            gen = GeneratorSpec("displacement", sign)
-            fi_theory = fi_continuous(state, gen)
-            theory = witness_value(fi_theory,
-                                   generator_variance(state, gen, "A"),
-                                   generator_variance(state, gen, "B"))
+            theory = _fi_witness(build_state(spec), GeneratorSpec("displacement", sign))[3]
             for m in samples_list:
                 for delta in deltas:
                     summary = replicate(spec, int(m), reps, seed, delta=delta,

@@ -14,14 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .state import (
-    QuadratureBasis,
-    P_BASIS,
-    X_BASIS,
-    build_state,
-    displacement_direction,
-    measurement_pdf,
-)
+from .moments import displacement_direction
+from .state import QuadratureBasis, P_BASIS, X_BASIS, build_state, measurement_pdf
 
 @dataclass(frozen=True)
 class SampleSet:

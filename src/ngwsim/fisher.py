@@ -16,12 +16,7 @@ import numpy as np
 
 from .moments import generator_total_variance
 from .quadrature import integrate_adaptive
-from .state import (
-    QuadratureBasis,
-    X_BASIS,
-    _generator_symplectic,
-    displacement_direction,
-)
+from .state import QuadratureBasis, X_BASIS
 
 NONLOCAL_SATURATING_BASIS = QuadratureBasis(0.0, np.pi / 2, -np.pi / 4)
 
@@ -33,38 +28,11 @@ _LAGUERRE_MOMENTS = _LAGUERRE_W[:, None] * (2.0 * _LAGUERRE_T[:, None]) ** np.ar
 _E1_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21)]
 
 
-def _generator_symplectic_derivative(gen, theta):
-    """d/dtheta of the state-level symplectic map at the given theta."""
-    sign = gen.sign
-    if gen.kind == "displacement":
-        return np.zeros((4, 4))
-    if gen.kind == "phase":
-        def d_clockwise(t, scale):
-            c, s = np.cos(t), np.sin(t)
-            return scale * np.array([[-s, c], [-c, -s]])
-        blocks = (d_clockwise(theta, 1.0), d_clockwise(sign * theta, sign))
-    elif gen.kind == "shear":
-        blocks = (
-            np.array([[0.0, 0.0], [-1.0, 0.0]]),
-            np.array([[0.0, 0.0], [-sign, 0.0]]),
-        )
-    else:  # squeeze
-        blocks = (
-            np.diag([-np.exp(-theta), np.exp(theta)]),
-            sign * np.diag([-np.exp(-sign * theta), np.exp(sign * theta)]),
-        )
-    out = np.zeros((4, 4))
-    out[:2, :2] = blocks[0]
-    out[2:, 2:] = blocks[1]
-    return out
-
-
 def _measured_family_with_derivative(state, gen, basis, theta0):
     """2-D marginal parameters (Sigma, Q, c) and their exact theta-derivatives
     (with that of the mean) at theta0."""
     s_meas = basis.symplectic()
-    s4, _ = _generator_symplectic(gen, theta0)
-    ds4 = _generator_symplectic_derivative(gen, theta0)
+    s4, _, ds4, d_shift = gen.flow(theta0)
     m_tot = s_meas @ s4
     dm_tot = s_meas @ ds4
 
@@ -75,11 +43,7 @@ def _measured_family_with_derivative(state, gen, basis, theta0):
     poly_q = inv_m.T @ state.polyQ @ inv_m
     d_poly_q = d_inv.T @ state.polyQ @ inv_m + inv_m.T @ state.polyQ @ d_inv
 
-    if gen.kind == "displacement":
-        d4 = displacement_direction(gen.sign, gen.delta)
-        d_mean = s_meas @ np.array([-d4[0], 0.0, -d4[1], 0.0])
-    else:
-        d_mean = dm_tot @ state.mean
+    d_mean = dm_tot @ state.mean + s_meas @ d_shift
 
     keep, drop = [0, 2], [1, 3]
     syy = sigma[np.ix_(keep, keep)]

@@ -132,24 +132,6 @@ class PolyGaussianState:
         """Central phase-space (Weyl) moment for the given coordinate indices."""
         return poly_gauss_moment(indices, self.cov, self.polyQ, self.poly0)
 
-    def raw_moment(self, indices):
-        """Non-central phase-space moment, expanding around the mean."""
-        idx = list(indices)
-        if not idx:
-            return 1.0
-        if np.allclose(self.mean, 0.0):
-            return self.moment(idx)
-        total = 0.0
-        n = len(idx)
-        for mask in range(1 << n):
-            sub = [idx[i] for i in range(n) if mask >> i & 1]
-            pref = 1.0
-            for i in range(n):
-                if not mask >> i & 1:
-                    pref *= self.mean[idx[i]]
-            total += pref * self.moment(sub)
-        return total
-
     def transformed(self, symplectic):
         """Push the density through xi -> S xi."""
         s = np.asarray(symplectic, dtype=float)
@@ -211,46 +193,9 @@ def apply_loss(state, eta):
     )
 
 
-def displacement_direction(sign, delta=0.0):
-    """Unbalanced displacement direction (d_A, d_B); (1, +-1) at delta = 0."""
-    return np.array([
-        np.sqrt(2.0) * np.cos(delta + np.pi / 4),
-        sign * np.sqrt(2.0) * np.sin(delta + np.pi / 4),
-    ])
-
-
-def _generator_symplectic(gen, theta):
-    """State-level affine map for evolve(): returns (S, shift)."""
-    kind, sign = gen.kind, gen.sign
-    if kind == "displacement":
-        d = displacement_direction(sign, gen.delta)
-        # measured density shifts as p_theta(x) = p_0(x + theta d)
-        return np.eye(4), np.array([-theta * d[0], 0.0, -theta * d[1], 0.0])
-    if kind == "phase":
-        def clockwise(t):
-            c, s = np.cos(t), np.sin(t)
-            return np.array([[c, s], [-s, c]])
-        blocks = (clockwise(theta), clockwise(sign * theta))
-    elif kind == "shear":
-        blocks = (
-            np.array([[1.0, 0.0], [-theta, 1.0]]),
-            np.array([[1.0, 0.0], [-sign * theta, 1.0]]),
-        )
-    elif kind == "squeeze":
-        blocks = (
-            np.diag([np.exp(-theta), np.exp(theta)]),
-            np.diag([np.exp(-sign * theta), np.exp(sign * theta)]),
-        )
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    s = np.zeros((4, 4))
-    s[:2, :2] = blocks[0]
-    s[2:, 2:] = blocks[1]
-    return s, np.zeros(4)
-
-
 def evolve(state, gen, theta):
-    """Apply the affine-symplectic phase-space map of a GeneratorSpec.
+    """Apply the affine-symplectic phase-space map of a GeneratorSpec
+    (GeneratorSpec.flow).
 
     Displacement follows the postprocessing convention: the measured density
     obeys p_theta(x_A, x_B) = p_0(x_A + theta d_A, x_B + theta d_B). The
@@ -258,7 +203,7 @@ def evolve(state, gen, theta):
     """
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    s, shift = _generator_symplectic(gen, theta)
+    s, shift, _, _ = gen.flow(theta)
     out = state.transformed(s) if not np.array_equal(s, np.eye(4)) else state
     if np.any(shift):
         out = out.displaced(shift)

@@ -382,6 +382,33 @@ def fock_p_variances(rho):
     return tuple(out)
 
 
+def _generator_matrix(kind, levels):
+    """Local generator p / 2, N, x^2 / 4 or (x p + p x) / 4 on the first
+    levels Fock levels, exact there because x and p act on one level more."""
+    low = _lowering(levels + 1)
+    x, p = low + low.T, 1j * (low.T - low)
+    h = {"displacement": p / 2, "phase": low.T @ low, "shear": x @ x / 4,
+         "squeeze": (x @ p + p @ x) / 4}[kind]
+    return h[:levels, :levels]
+
+
+def fock_generator_stats(rho, kind, sign):
+    """(Var H_A, Var H_B, Cov(H_A, sign H_B)) of a real two-mode density matrix
+    for the local generator of the given kind on each mode. H^2 on the dim
+    levels of a mode is exact with H built on dim + 2 levels, so the cutoff is
+    padded by two; the local terms use the reduced density matrices."""
+    stats = []
+    for reduced in _reduced(rho):
+        dim = reduced.shape[0]
+        h = _generator_matrix(kind, dim + 2)
+        h1, h2 = h[:dim, :dim], (h @ h)[:dim, :dim]
+        mean = np.sum(reduced.T * h1).real  # tr(rho H) = sum rho_mn H_nm
+        stats.append((mean, np.sum(reduced.T * h2).real - mean**2, h1))
+    (mean_a, var_a, h_a), (mean_b, var_b, h_b) = stats
+    joint = np.einsum("mnkl,km,ln->", rho, h_a, h_b).real
+    return var_a, var_b, sign * (joint - mean_a * mean_b)
+
+
 def fock_displacement_qfi(rho, sign):
     """Quantum Fisher information of rho for G = (p_A + sign p_B) / 2.
 

@@ -21,7 +21,8 @@ def read_csv(path):
 
 
 def digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 class TestAnalytic:

@@ -19,17 +19,24 @@ from ngwsim import (
     qfi_pure,
     saturation_check,
 )
+from ngwsim.estimator import _mixture
 
 from oracles import fi_central_difference, fi_lossy_symmetric_1d
 from test_state import random_specs
 
 DISP = GeneratorSpec("displacement", +1)
+PANEL_GENERATORS = (
+    ("displacement", +1, StateSpec(0.2, 0.2)),
+    ("phase", -1, StateSpec(0.3, -0.5, 0.6)),
+    ("shear", -1, StateSpec(-0.2, -0.4)),
+    ("squeeze", +1, StateSpec(0.4, 0.1, 1.0)),
+)
 
 
-def panel_oracle_fi(state, gen, basis, step=1e-4):
-    """FI from the central difference of three measured densities, integrated
-    by the adaptive 2-D panel oracle."""
-    pdfs = [measurement_pdf(evolve(state, gen, t), basis) for t in (-step, 0.0, step)]
+def panel_oracle_fi(state, gen, basis, step=1e-4, theta0=0.0):
+    """FI at theta0 from the central difference of three measured densities,
+    integrated by the adaptive 2-D panel oracle."""
+    pdfs = [measurement_pdf(evolve(state, gen, theta0 + t), basis) for t in (-step, 0.0, step)]
     return fi_central_difference(*pdfs, step)
 
 
@@ -82,11 +89,7 @@ class TestDerivativePaths:
 
     @pytest.mark.parametrize("kind,sign,spec,eta,basis", [
         *[(kind, sign, spec, eta, basis)
-          for kind, sign, spec in (
-              ("displacement", +1, StateSpec(0.2, 0.2)),
-              ("phase", -1, StateSpec(0.3, -0.5, 0.6)),
-              ("shear", -1, StateSpec(-0.2, -0.4)),
-              ("squeeze", +1, StateSpec(0.4, 0.1, 1.0)))
+          for kind, sign, spec in PANEL_GENERATORS
           for eta, basis in ((1e-4, QuadratureBasis(0.41, 2.73)),
                              (1e-3, QuadratureBasis(0.41, 2.73)),
                              (1e-4, X_BASIS),
@@ -96,13 +99,20 @@ class TestDerivativePaths:
           for kind, r in (("shear", -0.2), ("phase", 0.2))
           for basis in (X_BASIS, P_BASIS)],
     ])
-    def test_matches_panel_oracle(self, kind, sign, spec, eta, basis):
+    def test_matches_panel_oracle(self, kind, sign, spec, eta, basis, theta0=0.0):
         state = build_state(spec)
         if eta > 0.0:
             state = apply_loss(state, eta)
         gen = GeneratorSpec(kind, sign)
-        reference = panel_oracle_fi(state, gen, basis)
-        assert abs(fi_continuous(state, gen, basis) - reference) < 1e-6 * max(reference, 1.0)
+        reference = panel_oracle_fi(state, gen, basis, theta0=theta0)
+        assert (abs(fi_continuous(state, gen, basis, theta0) - reference)
+                < 1e-6 * max(reference, 1.0))
+
+    @pytest.mark.parametrize("kind,sign,spec", PANEL_GENERATORS)
+    def test_matches_panel_oracle_away_from_zero(self, kind, sign, spec):
+        # the generator maps and their theta-derivatives at theta0 != 0
+        self.test_matches_panel_oracle(kind, sign, spec, 1e-3, QuadratureBasis(0.41, 2.73),
+                                       theta0=0.3)
 
 
 @st.composite
@@ -129,6 +139,16 @@ class TestProperties:
         assert np.isfinite(fi) and fi >= 0.0
         if state.pure:
             assert fi <= qfi_pure(state, gen) * (1.0 + 1e-9)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(fi_cases(), st.floats(-1.0, 1.0))
+    def test_evolved_density_nonnegative_normalized(self, case, theta):
+        # the mixture weights (c, d_1, d_2) of the whitened density: _mixture
+        # raises if one is below -1e-12, and they sum to its integral
+        spec, basis, gen = case
+        weights, _ = _mixture(measurement_pdf(evolve(build_state(spec), gen, theta), basis))
+        assert abs(weights.sum() - 1.0) < 1e-12
 
 
 class TestQfiPure:

@@ -10,6 +10,7 @@ from ngwsim import (
     apply_loss,
     build_state,
     fi_continuous,
+    generator_covariance,
     generator_variance,
     squeezing_r,
 )
@@ -21,6 +22,7 @@ from oracles import (
     fock_density,
     fock_displacement_fi,
     fock_displacement_qfi,
+    fock_generator_stats,
     fock_p_variances,
     integrate_panels,
     vnoisy_reference,
@@ -55,6 +57,22 @@ class TestFockOracle:
             # H_A = p_A / 2, so Var H_A = Var p_A / 4
             assert abs(var_pa / 4 - generator_variance(state, gen, "A")) < 1e-10
             assert abs(var_pb / 4 - generator_variance(state, gen, "B")) < 1e-10
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6])
+    def test_generator_statistics(self, eta):
+        # Var H_A, Var H_B and Cov(H_A, H_B) of all four generators, which
+        # checks the operator-ordering term of the squeeze and phase variances
+        for spec in LOSSY_SPECS:
+            rho = fock_density(spec.r_a, spec.r_b, spec.phi_sub, eta)
+            state = lossy_state(spec, eta)
+            for kind in ("displacement", "phase", "shear", "squeeze"):
+                for sign in (+1, -1):
+                    gen = GeneratorSpec(kind, sign)
+                    mine = (generator_variance(state, gen, "A"),
+                            generator_variance(state, gen, "B"),
+                            generator_covariance(state, gen))
+                    for value, ref in zip(mine, fock_generator_stats(rho, kind, sign)):
+                        assert abs(value - ref) < 1e-8, (spec, kind, sign)
 
     def test_homodyne_fi_matches_package(self):
         for spec, eta in zip(LOSSY_SPECS, (0.1, 0.6)):

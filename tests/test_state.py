@@ -240,6 +240,36 @@ class TestEvolve:
                 n1 = out.second_moments()[mode, mode] + out.second_moments()[mode + 1, mode + 1]
                 assert abs(n0 - n1) < 1e-12
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("theta", [-0.7, 0.3, 1.1])
+    def test_maps_match_explicit_forms(self, sign, theta):
+        def clockwise(t):
+            return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+
+        def shear(t):
+            return np.array([[1.0, 0.0], [-t, 1.0]])
+
+        def squeeze(t):
+            return np.diag([np.exp(-t), np.exp(t)])
+
+        state = build_state(StateSpec(0.3, -0.2, 0.7)).displaced([0.1, -0.4, 0.3, 0.2])
+        for kind, block in (("phase", clockwise), ("shear", shear), ("squeeze", squeeze)):
+            gen = GeneratorSpec(kind, sign)
+            s, shift, _, _ = gen.flow(theta)
+            expect = np.zeros((4, 4))
+            expect[:2, :2], expect[2:, 2:] = block(theta), block(sign * theta)
+            assert np.max(np.abs(s - expect)) < 1e-14, kind
+            assert not np.any(shift), kind
+            out = evolve(state, gen, theta)
+            assert np.max(np.abs(out.cov - expect @ state.cov @ expect.T)) < 1e-13, kind
+            assert np.max(np.abs(out.mean - expect @ state.mean)) < 1e-14, kind
+        gen = GeneratorSpec("displacement", sign)
+        s, shift, _, _ = gen.flow(theta)
+        assert np.array_equal(s, np.eye(4))
+        assert np.max(np.abs(shift - np.array([-theta, 0.0, -sign * theta, 0.0]))) < 1e-14
+        out = evolve(state, gen, theta)
+        assert np.max(np.abs(out.mean - state.mean - shift)) < 1e-15
+
     def test_finite_theta_required(self):
         state = build_state(StateSpec(0.2, 0.2))
         with pytest.raises(ValueError):
