@@ -20,39 +20,14 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateStateError, QuadratureConvergenceError, UnphysicalCovarianceError
 from .estimator import bin_samples, default_theta_grid, replicate, sample, save_samples_csv
-from .fisher import (
-    NONLOCAL_SATURATING_BASIS,
-    angle_grid_scan,
-    fi_continuous,
-    optimize_angles,
-    qfi_pure,
-)
+from .fisher import (NONLOCAL_SATURATING_BASIS, angle_grid_scan, fi_continuous,
+                     optimize_angles, qfi_pure)
 from .moments import GeneratorSpec, generator_variance
-from .state import (
-    QuadratureBasis,
-    StateSpec,
-    X_BASIS,
-    apply_loss,
-    build_state,
-)
-from .witness import (
-    displacement_ridge_value,
-    eq_displacement,
-    eq_phase,
-    eq_shear,
-    eq_squeeze,
-    shear_ridge_value,
-    witness_value,
-)
+from .state import QuadratureBasis, StateSpec, X_BASIS, apply_loss, build_state
+from .witness import (displacement_ridge_value, eq_displacement, eq_phase, eq_shear,
+                      eq_squeeze, shear_ridge_value, witness_value)
 
 DB_TO_R = np.log(10.0) / 20.0  # figure-axis convention: positive dB squeezes x
-
-_CONFIG_KEYS = {
-    "ra", "rb", "sa-db", "sb-db", "phi", "gen", "sign", "delta-axis", "eta",
-    "samples", "bin", "range", "theta-max", "theta-steps", "reps", "seed",
-    "out", "scan", "sa-range", "sb-range", "eta-range", "step", "phi-a",
-    "phi-b", "mix", "theta0", "target", "deltas", "sample-counts",
-}
 
 
 def _workers():
@@ -66,9 +41,16 @@ def _workers():
 # ---------------------------------------------------------------------------
 # configuration handling
 
-def load_config_file(path):
-    """Flat key = value configuration file; '#' starts a comment."""
-    out = {}
+def load_config_file(path, parser):
+    """Flat key = value configuration file; '#' starts a comment.
+
+    Each key must be one of the parser's flags, named without the leading
+    dashes, and each value must pass that flag's type. Returns the entries as
+    ``--key=value`` flags in file order."""
+    actions = {opt[2:]: action for action in parser._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and action.dest not in ("help", "config")}
+    flags = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -77,43 +59,21 @@ def load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
-    return out
-
-
-def _resolve(args, key, cast, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    file_cfg = getattr(args, "_file_config", {})
-    if key in file_cfg:
-        return cast(file_cfg[key])
-    return default
-
-
-def _resolve_squeezing(args):
-    r_a = _resolve(args, "ra", float)
-    r_b = _resolve(args, "rb", float)
-    s_a = _resolve(args, "sa-db", float)
-    s_b = _resolve(args, "sb-db", float)
-    if (r_a is not None and s_a is not None) or (r_b is not None and s_b is not None):
-        raise ValueError("give squeezing either as r (--ra/--rb) or dB (--sa-db/--sb-db), not both")
-    if r_a is None:
-        r_a = DB_TO_R * s_a if s_a is not None else 0.2
-    if r_b is None:
-        r_b = DB_TO_R * s_b if s_b is not None else 0.2
-    return float(r_a), float(r_b)
+            try:
+                (actions[key].type or str)(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ValueError(f"{path}:{lineno}: invalid value {value!r} for {key!r}") from None
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def _parse_sign(text):
-    if text in ("+", "+1", "1", 1, +1):
-        return +1
-    if text in ("-", "-1", -1):
-        return -1
-    raise ValueError(f"sign must be '+' or '-', got {text!r}")
+    signs = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}
+    if text not in signs:
+        raise argparse.ArgumentTypeError(f"sign must be '+' or '-', got {text!r}")
+    return signs[text]
 
 
 def _parse_range(text):
@@ -182,59 +142,60 @@ def write_manifest(path, command, entries, cfg_hash, outputs):
         handle.write("\n".join(lines) + "\n")
 
 
-def _out_dir(args):
-    out = _resolve(args, "out", str, ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write_bundle(out, stem, command, entries, tables, seed=0):
+    """Write each (file name, columns, rows) table to out as a CSV, every row
+    stamped with the entries' hash and seed, then <stem>.manifest; returns the CSV paths."""
+    cfg = config_hash(entries)
+    paths = [os.path.join(out, name) for name, _, _ in tables]
+    for path, (_, columns, rows) in zip(paths, tables):
+        write_csv(path, columns, rows, cfg, seed)
+    write_manifest(os.path.join(out, f"{stem}.manifest"), command, entries, cfg, paths)
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-_EQ_BY_KIND = {
-    "displacement": lambda ra, rb, phi, sign, delta: eq_displacement(ra, rb, phi, sign, delta),
-    "phase": lambda ra, rb, phi, sign, delta: eq_phase(ra, rb, sign, phi),
-    "shear": lambda ra, rb, phi, sign, delta: eq_shear(ra, rb, sign, phi),
-    "squeeze": lambda ra, rb, phi, sign, delta: eq_squeeze(),
-}
+_EQ_FUNCTIONS = {"displacement": eq_displacement, "phase": eq_phase,
+                 "shear": eq_shear, "squeeze": eq_squeeze}
 
 
 def cmd_analytic(args):
-    out = _out_dir(args)
-    kind = _resolve(args, "scan", str, "displacement")
-    if kind not in _EQ_BY_KIND:
+    kind = args.scan
+    if kind not in _EQ_FUNCTIONS:
         raise ValueError(f"unknown generator {kind!r}")
-    phi = _resolve(args, "phi", float, np.pi / 4)
-    sign = _parse_sign(_resolve(args, "sign", str, "+"))
-    delta = _resolve(args, "delta-axis", float, 0.0)
-    sa = _parse_range(_resolve(args, "sa-range", str, "0.1:6:0.1"))
-    sb = _parse_range(_resolve(args, "sb-range", str, "0.1:6:0.1"))
-    entries = {"scan": kind, "phi": phi, "sign": sign, "delta-axis": delta,
-               "sa-range": _resolve(args, "sa-range", str, "0.1:6:0.1"),
-               "sb-range": _resolve(args, "sb-range", str, "0.1:6:0.1")}
-    cfg = config_hash(entries)
+    options = {"phi_sub": args.phi, "sign": args.sign}
+    if kind == "displacement":
+        options["delta"] = args.delta_axis
+    entries = {"scan": kind, "phi": args.phi, "sign": args.sign, "delta-axis": args.delta_axis,
+               "sa-range": args.sa_range, "sb-range": args.sb_range}
+    sa_grid, sb_grid = _parse_range(args.sa_range), _parse_range(args.sb_range)
     rows = []
-    fun = _EQ_BY_KIND[kind]
-    for s_a in sa:
-        for s_b in sb:
+    for s_a in sa_grid:
+        for s_b in sb_grid:
             r_a, r_b = DB_TO_R * s_a, DB_TO_R * s_b
             try:
-                value = fun(r_a, r_b, phi, sign, delta)
+                value = _EQ_FUNCTIONS[kind](r_a, r_b, **options)
             except (DegenerateStateError, ValueError):
                 value = float("nan")
             rows.append([s_a, s_b, r_a, r_b, value])
-    path = os.path.join(out, f"analytic_{kind}.csv")
-    write_csv(path, ["s_a_db", "s_b_db", "r_a", "r_b", "e_q"], rows, cfg, 0)
-    write_manifest(os.path.join(out, f"analytic_{kind}.manifest"), "analytic", entries, cfg, [path])
+    [path] = _write_bundle(args.out, f"analytic_{kind}", "analytic", entries,
+                           [(f"analytic_{kind}.csv", ["s_a_db", "s_b_db", "r_a", "r_b", "e_q"], rows)])
     print(path)
     return 0
 
 
 def _spec_from(args):
-    r_a, r_b = _resolve_squeezing(args)
-    phi = _resolve(args, "phi", float, np.pi / 4)
-    eta = _resolve(args, "eta", float, 0.0)
-    return StateSpec(r_a, r_b, phi, eta)
+    """State from --phi, --eta and the squeezing, given as r (--ra/--rb) or in
+    dB (--sa-db/--sb-db), 0.2 for a mode given neither way; and its manifest entries."""
+    if (args.ra is not None and args.sa_db is not None) or \
+            (args.rb is not None and args.sb_db is not None):
+        raise ValueError("give squeezing either as r (--ra/--rb) or dB (--sa-db/--sb-db), not both")
+    r_a = DB_TO_R * args.sa_db if args.sa_db is not None else args.ra
+    r_b = DB_TO_R * args.sb_db if args.sb_db is not None else args.rb
+    spec = StateSpec(float(0.2 if r_a is None else r_a), float(0.2 if r_b is None else r_b),
+                     args.phi, args.eta)
+    return spec, {"ra": spec.r_a, "rb": spec.r_b, "phi": spec.phi_sub, "eta": spec.eta}
 
 
 def _fi_witness(state, gen, basis=X_BASIS, theta0=0.0):
@@ -244,226 +205,169 @@ def _fi_witness(state, gen, basis=X_BASIS, theta0=0.0):
     return fi, var_a, var_b, witness_value(fi, var_a, var_b)
 
 
+def _angle_map(name, state, gen, step):
+    """Table name of the FI map over local homodyne angles, and the map's
+    maximum as (FI, phi_a, phi_b)."""
+    angles, grid = angle_grid_scan(state, gen, step)
+    rows = [[pa, pb, grid[i, j]]
+            for i, pa in enumerate(angles) for j, pb in enumerate(angles)]
+    ia, ib = np.unravel_index(grid.argmax(), grid.shape)
+    return (name, ["phi_a", "phi_b", "fi"], rows), (grid.max(), angles[ia], angles[ib])
+
+
 def cmd_fi(args):
-    out = _out_dir(args)
-    spec = _spec_from(args)
-    kind = _resolve(args, "gen", str, "displacement")
-    sign = _parse_sign(_resolve(args, "sign", str, "+"))
-    delta = _resolve(args, "delta-axis", float, 0.0)
-    gen = GeneratorSpec(kind, sign, delta if kind == "displacement" else 0.0)
-    basis = QuadratureBasis(
-        _resolve(args, "phi-a", float, 0.0),
-        _resolve(args, "phi-b", float, 0.0),
-        _resolve(args, "mix", float, 0.0),
-    )
-    theta0 = _resolve(args, "theta0", float, 0.0)
+    spec, state_entries = _spec_from(args)
+    gen = GeneratorSpec(args.gen, args.sign, args.delta_axis)
+    basis = QuadratureBasis(args.phi_a, args.phi_b, args.mix)
     state = build_state(spec)
-    fi, var_a, var_b, e_val = _fi_witness(state, gen, basis, theta0)
+    fi, var_a, var_b, e_val = _fi_witness(state, gen, basis, args.theta0)
     qfi = qfi_pure(state, gen) if state.pure else float("nan")
-    entries = {"gen": kind, "sign": sign, "delta-axis": delta, "ra": spec.r_a,
-               "rb": spec.r_b, "phi": spec.phi_sub, "eta": spec.eta,
-               "phi-a": basis.phi_a, "phi-b": basis.phi_b, "mix": basis.nonlocal_mix,
-               "theta0": theta0}
-    cfg = config_hash(entries)
-    path = os.path.join(out, "fi.csv")
-    write_csv(path, ["fi", "qfi", "var_a", "var_b", "e_value"],
-              [[fi, qfi, var_a, var_b, e_val]], cfg, 0)
-    write_manifest(os.path.join(out, "fi.manifest"), "fi", entries, cfg, [path])
+    entries = {"gen": args.gen, "sign": args.sign, "delta-axis": args.delta_axis,
+               **state_entries, "phi-a": basis.phi_a, "phi-b": basis.phi_b,
+               "mix": basis.nonlocal_mix, "theta0": args.theta0}
+    [path] = _write_bundle(args.out, "fi", "fi", entries,
+                           [("fi.csv", ["fi", "qfi", "var_a", "var_b", "e_value"],
+                             [[fi, qfi, var_a, var_b, e_val]])])
     print(f"F = {fi:.6f}  QFI = {qfi:.6f}  E = {e_val:.6f}")
     print(path)
     return 0
 
 
 def cmd_fi_angles(args):
-    out = _out_dir(args)
-    spec = _spec_from(args)
-    kind = _resolve(args, "gen", str, "shear")
-    sign = _parse_sign(_resolve(args, "sign", str, "-"))
-    gen = GeneratorSpec(kind, sign)
-    step = _resolve(args, "step", float, np.pi / 20)
-    state = build_state(spec)
-    angles, grid = angle_grid_scan(state, gen, step)
-    entries = {"gen": kind, "sign": sign, "ra": spec.r_a, "rb": spec.r_b,
-               "phi": spec.phi_sub, "eta": spec.eta, "step": step}
-    cfg = config_hash(entries)
-    rows = [[pa, pb, grid[i, j]]
-            for i, pa in enumerate(angles) for j, pb in enumerate(angles)]
-    path = os.path.join(out, f"fi_angles_{kind}.csv")
-    write_csv(path, ["phi_a", "phi_b", "fi"], rows, cfg, 0)
-    write_manifest(os.path.join(out, f"fi_angles_{kind}.manifest"), "fi-angles", entries, cfg, [path])
-    best = grid.max()
-    ia, ib = np.unravel_index(grid.argmax(), grid.shape)
-    print(f"max FI = {best:.4f} at phi_a = {angles[ia]:.4f}, phi_b = {angles[ib]:.4f}")
+    spec, state_entries = _spec_from(args)
+    table, (best, phi_a, phi_b) = _angle_map(f"fi_angles_{args.gen}.csv", build_state(spec),
+                                             GeneratorSpec(args.gen, args.sign), args.step)
+    entries = {"gen": args.gen, "sign": args.sign, **state_entries, "step": args.step}
+    [path] = _write_bundle(args.out, f"fi_angles_{args.gen}", "fi-angles", entries, [table])
+    print(f"max FI = {best:.4f} at phi_a = {phi_a:.4f}, phi_b = {phi_b:.4f}")
     print(path)
     return 0
 
 
 def cmd_sample(args):
-    out = _out_dir(args)
-    spec = _spec_from(args)
-    m = int(_resolve(args, "samples", int, 100000))
-    seed = int(_resolve(args, "seed", int, 1))
-    state = build_state(spec)
-    record = sample(state, m, seed, basis=X_BASIS, spec=spec)
-    entries = {"ra": spec.r_a, "rb": spec.r_b, "phi": spec.phi_sub,
-               "eta": spec.eta, "samples": m, "seed": seed}
+    spec, state_entries = _spec_from(args)
+    record = sample(build_state(spec), args.samples, args.seed, spec=spec)
+    entries = {**state_entries, "samples": args.samples, "seed": args.seed}
     cfg = config_hash(entries)
-    path = os.path.join(out, "samples.csv")
+    path = os.path.join(args.out, "samples.csv")
     with _atomic_open(path) as handle:
         save_samples_csv(record, handle)
     entries["acceptance-rate"] = record.acceptance_rate
-    write_manifest(os.path.join(out, "samples.manifest"), "sample", entries, cfg, [path])
+    write_manifest(os.path.join(args.out, "samples.manifest"), "sample", entries, cfg, [path])
     print(f"acceptance rate {record.acceptance_rate:.3f}")
     print(path)
     return 0
 
 
 def cmd_estimate(args):
-    out = _out_dir(args)
-    spec = _spec_from(args)
-    m = int(_resolve(args, "samples", int, 1000000))
-    seed = int(_resolve(args, "seed", int, 1))
-    reps = int(_resolve(args, "reps", int, 30))
-    delta = _resolve(args, "bin", float, 0.2)
-    half_range = _resolve(args, "range", float)
-    sign = _parse_sign(_resolve(args, "sign", str, "+"))
-    delta_axis = _resolve(args, "delta-axis", float, 0.0)
-    theta_max = _resolve(args, "theta-max", float, 0.05)
-    theta_steps = int(_resolve(args, "theta-steps", int, 20))
-    grid = default_theta_grid(theta_max, theta_steps)
-    theory = _fi_witness(build_state(spec), GeneratorSpec("displacement", sign, delta_axis))[3]
-    summary = replicate(spec, m, reps, seed, delta=delta, theta_grid=grid,
-                        half_range=half_range, sign=sign, delta_axis=delta_axis,
-                        theory=theory, workers=_workers())
-    entries = {"ra": spec.r_a, "rb": spec.r_b, "phi": spec.phi_sub, "eta": spec.eta,
-               "samples": m, "seed": seed, "reps": reps, "bin": delta,
-               "range": "auto" if half_range is None else half_range,
-               "theta-max": theta_max, "theta-steps": theta_steps,
-               "sign": sign, "delta-axis": delta_axis}
-    cfg = config_hash(entries)
+    spec, state_entries = _spec_from(args)
+    grid = default_theta_grid(args.theta_max, args.theta_steps)
+    theory = _fi_witness(build_state(spec),
+                         GeneratorSpec("displacement", args.sign, args.delta_axis))[3]
+    summary = replicate(spec, args.samples, args.reps, args.seed, delta=args.bin,
+                        theta_grid=grid, half_range=args.range, sign=args.sign,
+                        delta_axis=args.delta_axis, theory=theory, workers=_workers())
+    entries = {**state_entries, "samples": args.samples, "seed": args.seed,
+               "reps": args.reps, "bin": args.bin,
+               "range": "auto" if args.range is None else args.range,
+               "theta-max": args.theta_max, "theta-steps": args.theta_steps,
+               "sign": args.sign, "delta-axis": args.delta_axis}
     rep_rows = [
         [i, est.e_value, est.stderr, est.fit.f_raw, est.fit.f_corrected,
          est.fit.c0_hat, est.fit.n_occ, est.var_pa, est.var_pb]
         for i, est in enumerate(summary.estimates)
     ]
-    rep_path = os.path.join(out, "estimate_replicates.csv")
-    write_csv(rep_path,
-              ["replicate", "e_value", "stderr", "f_raw", "f_corrected",
-               "c0_hat", "n_occupied", "var_pa", "var_pb"],
-              rep_rows, cfg, seed)
-    sum_path = os.path.join(out, "estimate_summary.csv")
-    write_csv(sum_path,
-              ["mean_e", "std_e", "stderr_mean", "theory_e", "overestimated", "reps"],
-              [[summary.mean, summary.std, summary.stderr_mean, summary.theory,
-                int(summary.overestimated), reps]],
-              cfg, seed)
-    write_manifest(os.path.join(out, "estimate.manifest"), "estimate", entries,
-                   cfg, [rep_path, sum_path])
+    _, sum_path = _write_bundle(args.out, "estimate", "estimate", entries, [
+        ("estimate_replicates.csv",
+         ["replicate", "e_value", "stderr", "f_raw", "f_corrected",
+          "c0_hat", "n_occupied", "var_pa", "var_pb"], rep_rows),
+        ("estimate_summary.csv",
+         ["mean_e", "std_e", "stderr_mean", "theory_e", "overestimated", "reps"],
+         [[summary.mean, summary.std, summary.stderr_mean, summary.theory,
+           int(summary.overestimated), args.reps]]),
+    ], seed=args.seed)
     print(f"E = {summary.mean:.4f} +- {summary.std:.4f} (theory {summary.theory:.4f})")
     print(sum_path)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# figure-level reproduction
+# figure-level reproduction: each builder maps the arguments to its tables
 
-def _witness_vs_loss(r_a, r_b, sign, etas):
-    base = build_state(StateSpec(r_a, r_b))
-    gen = GeneratorSpec("displacement", sign)
+def _repro_fig2(args):
     rows = []
-    for eta in etas:
-        state = apply_loss(base, eta) if eta > 0 else base
-        fi, _, _, e_val = _fi_witness(state, gen)
-        rows.append((eta, fi, e_val))
-    return rows
-
-
-def _repro_fig2(out, cfg, entries):
-    s_grid = np.arange(0.05, 6.0001, 0.05)
-    rows = []
-    for s in s_grid:
+    for s in np.arange(0.05, 6.0001, 0.05):
         r = DB_TO_R * s
-        disp_in = eq_displacement(r, r)
-        disp_quad = displacement_ridge_value(r)
-        shear_in = eq_shear(-r, -r, -1)
         try:
             shear_quad = shear_ridge_value(r)
         except ValueError:
             shear_quad = float("nan")
-        phase_any = eq_phase(r, r, -1)
-        rows.append([s, r, disp_in, disp_quad, shear_in, shear_quad, phase_any, 0.0])
-    path = os.path.join(out, "fig2_max_witness.csv")
-    write_csv(path, ["s_db", "r", "displacement_inphase", "displacement_inquad",
-                     "shear_inphase", "shear_inquad", "phase", "squeeze"],
-              rows, cfg, 0)
-    return [path]
+        rows.append([s, r, eq_displacement(r, r), displacement_ridge_value(r),
+                     eq_shear(-r, -r, -1), shear_quad, eq_phase(r, r, -1), 0.0])
+    return [("fig2_max_witness.csv",
+             ["s_db", "r", "displacement_inphase", "displacement_inquad",
+              "shear_inphase", "shear_inquad", "phase", "squeeze"], rows)]
 
 
-def _repro_fig3(out, cfg, entries, which="both"):
-    paths = []
+def _fig3_table(name, sign):
+    """Displacement witness over (s_A, s_B); sign -1 squeezes mode B in p."""
     s_grid = np.arange(0.1, 6.0001, 0.1)
-    if which in ("both", "a"):
-        rows = [[sa, sb, eq_displacement(DB_TO_R * sa, DB_TO_R * sb, np.pi / 4, +1)]
-                for sa in s_grid for sb in s_grid]
-        path = os.path.join(out, "fig3a_displacement_inphase.csv")
-        write_csv(path, ["s_a_db", "s_b_db", "e_q"], rows, cfg, 0)
-        paths.append(path)
-    if which in ("both", "b"):
-        rows = [[sa, sb, eq_displacement(DB_TO_R * sa, -DB_TO_R * sb, np.pi / 4, -1)]
-                for sa in s_grid for sb in s_grid]
-        path = os.path.join(out, "fig3b_displacement_inquad.csv")
-        write_csv(path, ["s_a_db", "s_b_db", "e_q"], rows, cfg, 0)
-        paths.append(path)
-    return paths
+    rows = [[sa, sb, eq_displacement(DB_TO_R * sa, sign * DB_TO_R * sb, np.pi / 4, sign)]
+            for sa in s_grid for sb in s_grid]
+    return (name, ["s_a_db", "s_b_db", "e_q"], rows)
 
 
-def _repro_fig4(out, cfg, entries, quadrature=False):
-    etas = np.arange(0.0, 0.2001, 0.005)
-    configs = []
-    if not quadrature:
-        for s in (1.0, 2.0, 3.0):
-            configs.append(("a", s, s, +1))
-        for sb in (0.5, 1.0, 1.5, 2.0):
-            configs.append(("b", 1.0, sb, +1))
-        for sb in (0.5, 1.0, 2.0, 3.0):
-            configs.append(("c", 2.0, sb, +1))
-        name = "fig4_loss_inphase.csv"
-    else:
-        for s in (1.0, 2.0, 3.0):
-            configs.append(("a", s, -s, -1))
-        for sb in (0.5, 1.0, 2.0):
-            configs.append(("b", 1.0, -sb, -1))
-        for sb in (0.5, 2.0, 6.0):
-            configs.append(("c", 2.0, -sb, -1))
-        name = "fig4b_loss_inquad.csv"
+def _repro_fig3a(args):
+    return [_fig3_table("fig3a_displacement_inphase.csv", +1)]
+
+
+def _repro_fig3b(args):
+    return [_fig3_table("fig3b_displacement_inquad.csv", -1)]
+
+
+def _loss_table(name, sign, configs):
+    """Displacement FI and witness of the lossy states (subfig, s_A, s_B) for
+    eta from 0 to 0.2."""
+    gen = GeneratorSpec("displacement", sign)
     rows = []
-    for sub, sa, sb, sign in configs:
-        for eta, fi, e_val in _witness_vs_loss(DB_TO_R * sa, DB_TO_R * sb, sign, etas):
-            rows.append([sub, sa, sb, eta, np.sqrt(eta), fi, e_val])
-    path = os.path.join(out, name)
-    write_csv(path, ["subfig", "s_a_db", "s_b_db", "eta", "eta_amplitude", "fi", "e_value"],
-              rows, cfg, 0)
-    return [path]
+    for sub, s_a, s_b in configs:
+        base = build_state(StateSpec(DB_TO_R * s_a, DB_TO_R * s_b))
+        for eta in np.arange(0.0, 0.2001, 0.005):
+            fi, _, _, e_val = _fi_witness(apply_loss(base, eta) if eta > 0 else base, gen)
+            rows.append([sub, s_a, s_b, eta, np.sqrt(eta), fi, e_val])
+    return (name, ["subfig", "s_a_db", "s_b_db", "eta", "eta_amplitude", "fi", "e_value"], rows)
 
 
-def _repro_fig5(out, cfg, entries, seed):
-    paths = []
+def _repro_fig4(args):
+    configs = ([("a", s, s) for s in (1.0, 2.0, 3.0)]
+               + [("b", 1.0, sb) for sb in (0.5, 1.0, 1.5, 2.0)]
+               + [("c", 2.0, sb) for sb in (0.5, 1.0, 2.0, 3.0)])
+    return [_loss_table("fig4_loss_inphase.csv", +1, configs)]
+
+
+def _repro_fig4b(args):
+    configs = ([("a", s, -s) for s in (1.0, 2.0, 3.0)]
+               + [("b", 1.0, -sb) for sb in (0.5, 1.0, 2.0)]
+               + [("c", 2.0, -sb) for sb in (0.5, 2.0, 6.0)])
+    return [_loss_table("fig4b_loss_inquad.csv", -1, configs)]
+
+
+def _repro_fig5(args):
+    tables = []
     for tag, (ra, rb) in (("a", (0.2, 0.2)), ("b", (0.2, -0.2))):
         spec = StateSpec(ra, rb)
-        record = sample(build_state(spec), 500000, seed, spec=spec)
+        record = sample(build_state(spec), 500000, args.seed, spec=spec)
         hist = bin_samples(record, 0.2, 6.0)
         freq = hist.counts / hist.total
         centers = -hist.half_range + hist.delta * (np.arange(hist.n_bins) + 0.5)
-        rows = []
-        for i, j in np.argwhere(hist.counts > 0):
-            rows.append([centers[i], centers[j], freq[i, j]])
-        path = os.path.join(out, f"fig5{tag}_frequencies.csv")
-        write_csv(path, ["x_a", "x_b", "frequency"], rows, cfg, seed)
-        paths.append(path)
-    return paths
+        rows = [[centers[i], centers[j], freq[i, j]] for i, j in np.argwhere(hist.counts > 0)]
+        tables.append((f"fig5{tag}_frequencies.csv", ["x_a", "x_b", "frequency"], rows))
+    return tables
 
 
-def _repro_fig6(out, cfg, entries, seed, samples_list, deltas, reps):
+def _repro_fig6(args):
+    samples_list = [int(float(tok)) for tok in args.sample_counts.split(",")]
+    deltas = [float(tok) for tok in args.deltas.split(",")]
     rows = []
     for tag, (ra, rb, sign) in (("a", (0.2, 0.2, +1)), ("b", (0.2, -0.2, -1))):
         for eta in (0.0, 0.1):
@@ -471,45 +375,32 @@ def _repro_fig6(out, cfg, entries, seed, samples_list, deltas, reps):
             theory = _fi_witness(build_state(spec), GeneratorSpec("displacement", sign))[3]
             for m in samples_list:
                 for delta in deltas:
-                    summary = replicate(spec, int(m), reps, seed, delta=delta,
+                    summary = replicate(spec, m, args.reps, args.seed, delta=delta,
                                         sign=sign, theory=theory, workers=_workers())
-                    rows.append([tag, ra, rb, eta, int(m), delta, summary.mean,
+                    rows.append([tag, ra, rb, eta, m, delta, summary.mean,
                                  summary.std, theory, int(summary.overestimated)])
-    path = os.path.join(out, "fig6_discretization.csv")
-    write_csv(path, ["subfig", "r_a", "r_b", "eta", "samples", "bin", "mean_e",
-                     "std_e", "theory_e", "overestimated"], rows, cfg, seed)
-    return [path]
+    return [("fig6_discretization.csv",
+             ["subfig", "r_a", "r_b", "eta", "samples", "bin", "mean_e",
+              "std_e", "theory_e", "overestimated"], rows)]
 
 
-def _repro_appA(out, cfg, entries):
-    rows = []
-    deltas = np.arange(0.0, np.pi + 1e-9, np.pi / 90)
-    for phi in (np.pi / 8, np.pi / 4, 3 * np.pi / 8):
-        for delta in deltas:
-            rows.append([phi, delta, eq_displacement(0.3, 0.1, phi, +1, delta)])
-    path = os.path.join(out, "appA_delta_unbalancing.csv")
-    write_csv(path, ["phi", "delta", "e_q"], rows, cfg, 0)
-    return [path]
+def _repro_appA(args):
+    rows = [[phi, delta, eq_displacement(0.3, 0.1, phi, +1, delta)]
+            for phi in (np.pi / 8, np.pi / 4, 3 * np.pi / 8)
+            for delta in np.arange(0.0, np.pi + 1e-9, np.pi / 90)]
+    return [("appA_delta_unbalancing.csv", ["phi", "delta", "e_q"], rows)]
 
 
-def _repro_appB(out, cfg, entries):
-    paths = []
+def _repro_appB(args):
+    tables = []
     for kind, r, step in (("shear", -0.2, np.pi / 20), ("phase", 0.2, np.pi / 100)):
         state = build_state(StateSpec(r, r))
         gen = GeneratorSpec(kind, -1)
-        angles, grid = angle_grid_scan(state, gen, step)
-        rows = [[pa, pb, grid[i, j]]
-                for i, pa in enumerate(angles) for j, pb in enumerate(angles)]
-        path = os.path.join(out, f"appB_{kind}_anglemap.csv")
-        write_csv(path, ["phi_a", "phi_b", "fi"], rows, cfg, 0)
-        paths.append(path)
-        qfi = qfi_pure(state, gen)
-        f_nl = fi_continuous(state, gen, NONLOCAL_SATURATING_BASIS)
-        ia, ib = np.unravel_index(grid.argmax(), grid.shape)
-        summary = os.path.join(out, f"appB_{kind}_summary.csv")
-        write_csv(summary, ["max_fi", "phi_a", "phi_b", "qfi", "fi_nonlocal"],
-                  [[grid.max(), angles[ia], angles[ib], qfi, f_nl]], cfg, 0)
-        paths.append(summary)
+        table, (f_max, phi_a, phi_b) = _angle_map(f"appB_{kind}_anglemap.csv", state, gen, step)
+        summary = [f_max, phi_a, phi_b, qfi_pure(state, gen),
+                   fi_continuous(state, gen, NONLOCAL_SATURATING_BASIS)]
+        tables += [table, (f"appB_{kind}_summary.csv",
+                           ["max_fi", "phi_a", "phi_b", "qfi", "fi_nonlocal"], [summary])]
     # maximal local FI versus squeezing depth
     rows = []
     for kind, sgn in (("shear", -1.0), ("phase", 1.0)):
@@ -519,11 +410,24 @@ def _repro_appB(out, cfg, entries):
             gen = GeneratorSpec(kind, -1)
             scan = optimize_angles(state, gen, grid_step=np.pi / 20)
             rows.append([kind, s, r, scan.f_max, qfi_pure(state, gen)])
-    path = os.path.join(out, "appB_max_fi_vs_squeezing.csv")
-    write_csv(path, ["gen", "s_db", "r", "max_local_fi", "qfi"], rows, cfg, 0)
-    paths.append(path)
-    return paths
+    tables.append(("appB_max_fi_vs_squeezing.csv",
+                   ["gen", "s_db", "r", "max_local_fi", "qfi"], rows))
+    return tables
 
+
+# target: (table builders, whether the rows carry the run's seed)
+_TARGETS = {
+    "fig2": ((_repro_fig2,), False),
+    "fig3": ((_repro_fig3a, _repro_fig3b), False),
+    "fig3a": ((_repro_fig3a,), False),
+    "fig3b": ((_repro_fig3b,), False),
+    "fig4": ((_repro_fig4,), False),
+    "fig4b": ((_repro_fig4b,), False),
+    "fig5": ((_repro_fig5,), True),
+    "fig6": ((_repro_fig6,), True),
+    "appA": ((_repro_appA,), False),
+    "appB": ((_repro_appB,), False),
+}
 
 _PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
@@ -571,46 +475,18 @@ if __name__ == "__main__":
 
 
 def cmd_reproduce(args):
-    out = _out_dir(args)
     target = args.target
-    seed = int(_resolve(args, "seed", int, 42))
-    reps = int(_resolve(args, "reps", int, 30))
-    samples_opt = _resolve(args, "sample-counts", str, "1000000,2000000,4000000,10000000")
-    deltas_opt = _resolve(args, "deltas", str, "0.05,0.1,0.2,0.3,0.4")
-    entries = {"target": target, "seed": seed}
-    cfg = config_hash(entries)
-    if target == "fig2":
-        paths = _repro_fig2(out, cfg, entries)
-    elif target == "fig3":
-        paths = _repro_fig3(out, cfg, entries, "both")
-    elif target == "fig3a":
-        paths = _repro_fig3(out, cfg, entries, "a")
-    elif target == "fig3b":
-        paths = _repro_fig3(out, cfg, entries, "b")
-    elif target == "fig4":
-        paths = _repro_fig4(out, cfg, entries, quadrature=False)
-    elif target == "fig4b":
-        paths = _repro_fig4(out, cfg, entries, quadrature=True)
-    elif target == "fig5":
-        paths = _repro_fig5(out, cfg, entries, seed)
-    elif target == "fig6":
-        entries.update({"reps": reps, "sample-counts": samples_opt, "deltas": deltas_opt})
-        cfg = config_hash(entries)
-        samples_list = [int(float(tok)) for tok in samples_opt.split(",")]
-        deltas = [float(tok) for tok in deltas_opt.split(",")]
-        paths = _repro_fig6(out, cfg, entries, seed, samples_list, deltas, reps)
-    elif target == "appA":
-        paths = _repro_appA(out, cfg, entries)
-    elif target == "appB":
-        paths = _repro_appB(out, cfg, entries)
-    else:
-        raise ValueError(f"unknown reproduction target {target!r}")
-    plot_path = os.path.join(out, f"plot_{target}.py")
-    with _atomic_open(plot_path) as handle:
+    builders, seeded = _TARGETS[target]
+    entries = {"target": target, "seed": args.seed}
+    if target == "fig6":
+        entries.update({"reps": args.reps, "sample-counts": args.sample_counts,
+                        "deltas": args.deltas})
+    tables = [table for build in builders for table in build(args)]
+    paths = _write_bundle(args.out, target, f"reproduce {target}", entries, tables,
+                          seed=args.seed if seeded else 0)
+    with _atomic_open(os.path.join(args.out, f"plot_{target}.py")) as handle:
         handle.write(_PLOT_TEMPLATE.format(
             target=target, files=[os.path.basename(p) for p in paths]))
-    write_manifest(os.path.join(out, f"{target}.manifest"), f"reproduce {target}",
-                   entries, cfg, paths)
     for path in paths:
         print(path)
     return 0
@@ -626,83 +502,91 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"ngw-sim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, seeded=True):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--ra", type=float, help="squeezing parameter of mode A")
-        p.add_argument("--rb", type=float, help="squeezing parameter of mode B")
-        p.add_argument("--sa-db", type=float, dest="sa_db",
+        p.add_argument("--out", default=".", help="output directory (default .)")
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    def state_flags(p):
+        p.add_argument("--ra", type=float, help="squeezing parameter of mode A (default 0.2)")
+        p.add_argument("--rb", type=float, help="squeezing parameter of mode B (default 0.2)")
+        p.add_argument("--sa-db", type=float,
                        help="squeezing depth of mode A in dB (positive squeezes x)")
-        p.add_argument("--sb-db", type=float, dest="sb_db",
-                       help="squeezing depth of mode B in dB")
-        p.add_argument("--phi", type=float, help="photon-subtraction mixing angle")
-        p.add_argument("--eta", type=float, help="loss fraction in [0, 1)")
-        p.add_argument("--sign", help="relative generator sign, '+' or '-'")
-        p.add_argument("--delta-axis", type=float, dest="delta_axis",
-                       help="displacement unbalancing angle")
-        p.add_argument("--out", help="output directory (default .)")
-        if seeded:
-            p.add_argument("--seed", type=int, help="RNG seed")
+        p.add_argument("--sb-db", type=float, help="squeezing depth of mode B in dB")
+        p.add_argument("--phi", type=float, default=np.pi / 4,
+                       help="photon-subtraction mixing angle")
+        p.add_argument("--eta", type=float, default=0.0, help="loss fraction in [0, 1)")
 
-    p = sub.add_parser("analytic", help="closed-form witness scans")
-    common(p, seeded=False)
-    p.add_argument("--scan", help="generator to scan (displacement/phase/shear/squeeze)")
-    p.add_argument("--sa-range", dest="sa_range", help="s_A grid start:stop:step in dB")
-    p.add_argument("--sb-range", dest="sb_range", help="s_B grid start:stop:step in dB")
-    p.set_defaults(func=cmd_analytic)
+    def generator_flags(p, sign, delta_axis=True):
+        p.add_argument("--sign", type=_parse_sign, default=sign,
+                       help="relative generator sign, '+' or '-'")
+        if delta_axis:
+            p.add_argument("--delta-axis", type=float, default=0.0,
+                           help="displacement unbalancing angle")
 
-    p = sub.add_parser("fi", help="single Fisher-information evaluation")
-    common(p, seeded=False)
-    p.add_argument("--gen", help="generator kind")
-    p.add_argument("--phi-a", type=float, dest="phi_a", help="homodyne angle, mode A")
-    p.add_argument("--phi-b", type=float, dest="phi_b", help="homodyne angle, mode B")
-    p.add_argument("--mix", type=float, help="two-mode mixing angle before measurement")
-    p.add_argument("--theta0", type=float, help="parameter point for the FI")
-    p.set_defaults(func=cmd_fi)
+    p = command("analytic", cmd_analytic, "closed-form witness scans")
+    p.add_argument("--scan", default="displacement",
+                   help="generator to scan (displacement/phase/shear/squeeze)")
+    p.add_argument("--phi", type=float, default=np.pi / 4, help="photon-subtraction mixing angle")
+    generator_flags(p, +1)
+    p.add_argument("--sa-range", default="0.1:6:0.1", help="s_A grid start:stop:step in dB")
+    p.add_argument("--sb-range", default="0.1:6:0.1", help="s_B grid start:stop:step in dB")
 
-    p = sub.add_parser("fi-angles", help="FI map over local homodyne angles")
-    common(p, seeded=False)
-    p.add_argument("--gen", help="generator kind")
-    p.add_argument("--step", type=float, help="angle grid step (radians)")
-    p.set_defaults(func=cmd_fi_angles)
+    p = command("fi", cmd_fi, "single Fisher-information evaluation")
+    state_flags(p)
+    p.add_argument("--gen", default="displacement", help="generator kind")
+    generator_flags(p, +1)
+    p.add_argument("--phi-a", type=float, default=0.0, help="homodyne angle, mode A")
+    p.add_argument("--phi-b", type=float, default=0.0, help="homodyne angle, mode B")
+    p.add_argument("--mix", type=float, default=0.0,
+                   help="two-mode mixing angle before measurement")
+    p.add_argument("--theta0", type=float, default=0.0, help="parameter point for the FI")
 
-    p = sub.add_parser("sample", help="draw homodyne samples to CSV")
-    common(p)
-    p.add_argument("--samples", type=int, help="number of samples")
-    p.set_defaults(func=cmd_sample)
+    p = command("fi-angles", cmd_fi_angles, "FI map over local homodyne angles")
+    state_flags(p)
+    p.add_argument("--gen", default="shear", help="generator kind")
+    generator_flags(p, -1, delta_axis=False)
+    p.add_argument("--step", type=float, default=np.pi / 20, help="angle grid step (radians)")
 
-    p = sub.add_parser("estimate", help="full sampled witness estimation")
-    common(p)
-    p.add_argument("--samples", type=int, help="samples per replicate")
-    p.add_argument("--reps", type=int, help="number of replicates")
-    p.add_argument("--bin", type=float, help="bin size")
-    p.add_argument("--range", type=float, help="binning half range")
-    p.add_argument("--theta-max", type=float, dest="theta_max", help="largest displacement")
-    p.add_argument("--theta-steps", type=int, dest="theta_steps", help="grid points (even)")
-    p.set_defaults(func=cmd_estimate)
+    p = command("sample", cmd_sample, "draw homodyne samples to CSV")
+    state_flags(p)
+    p.add_argument("--samples", type=int, default=100000, help="number of samples")
+    p.add_argument("--seed", type=int, default=1, help="RNG seed")
 
-    p = sub.add_parser("reproduce", help="figure-level reproduction bundles")
-    p.add_argument("target", choices=["fig2", "fig3", "fig3a", "fig3b", "fig4",
-                                      "fig4b", "fig5", "fig6", "appA", "appB"])
-    p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--reps", type=int, help="replicates for fig6")
-    p.add_argument("--sample-counts", dest="sample_counts",
+    p = command("estimate", cmd_estimate, "full sampled witness estimation")
+    state_flags(p)
+    p.add_argument("--samples", type=int, default=1000000, help="samples per replicate")
+    p.add_argument("--seed", type=int, default=1, help="RNG seed")
+    p.add_argument("--reps", type=int, default=30, help="number of replicates")
+    p.add_argument("--bin", type=float, default=0.2, help="bin size")
+    p.add_argument("--range", type=float, help="binning half range (default: from the data)")
+    generator_flags(p, +1)
+    p.add_argument("--theta-max", type=float, default=0.05, help="largest displacement")
+    p.add_argument("--theta-steps", type=int, default=20, help="grid points (even)")
+
+    p = command("reproduce", cmd_reproduce, "figure-level reproduction bundles")
+    p.add_argument("target", choices=list(_TARGETS))
+    p.add_argument("--seed", type=int, default=42, help="RNG seed")
+    p.add_argument("--reps", type=int, default=30, help="replicates for fig6")
+    p.add_argument("--sample-counts", default="1000000,2000000,4000000,10000000",
                    help="comma list of sample counts for fig6")
-    p.add_argument("--deltas", help="comma list of bin sizes for fig6")
-    p.set_defaults(func=cmd_reproduce)
+    p.add_argument("--deltas", default="0.05,0.1,0.2,0.3,0.4",
+                   help="comma list of bin sizes for fig6")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._file_config = load_config_file(args.config)
-        else:
-            args._file_config = {}
+        if args.config:
+            # argv[0] is the subcommand; file entries go before the explicit
+            # flags, so the flags win
+            flags = load_config_file(args.config, args.parser)
+            args = args.parser.parse_args(flags + argv[1:])
         return args.func(args)
     except (ValueError, OSError, DegenerateStateError, UnphysicalCovarianceError,
             QuadratureConvergenceError) as exc:

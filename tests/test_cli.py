@@ -73,6 +73,52 @@ class TestConfigFile:
         assert run_cli("analytic", "--config", cfg, "--out", tmp_path) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line", [
+        (["fi"], "samples = 10"),  # a flag of sample and estimate only
+        (["reproduce", "fig2"], "target = fig3"),  # the target is positional
+        (["analytic"], "eta-range = 0:1:0.1"),  # no subcommand has this flag
+    ])
+    def test_key_of_no_flag_of_the_subcommand_rejected(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli(*command, "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_value_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("ra = abc\n")
+        assert run_cli("fi", "--config", cfg, "--out", tmp_path) == 1
+        assert "'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("analytic", "--ra", "0.3"),
+        ("sample", "--sign", "-"),
+        ("fi-angles", "--delta-axis", "0.2"),
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--out", tmp_path)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, settings", [
+        (["fi"], {"gen": "displacement", "ra": "0.3", "rb": "0.1", "phi": "0.5",
+                  "eta": "0.05", "sign": "-", "delta-axis": "0.2", "phi-a": "0.1",
+                  "phi-b": "0.2", "mix": "0.3", "theta0": "0.05"}),
+        (["estimate"], {"ra": "0.2", "rb": "-0.2", "sign": "-", "samples": "20000",
+                        "reps": "2", "bin": "0.3", "seed": "5", "theta-steps": "12"}),
+    ])
+    def test_file_and_flags_write_the_same_bundle(self, tmp_path, command, settings):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        flags = [a for k, v in settings.items() for a in (f"--{k}", v)]
+        assert run_cli(*command, "--config", cfg, "--out", tmp_path / "file") == 0
+        assert run_cli(*command, *flags, "--out", tmp_path / "flags") == 0
+        names = sorted(os.listdir(tmp_path / "file"))
+        assert names == sorted(os.listdir(tmp_path / "flags")) and len(names) >= 2
+        for name in names:
+            assert digest(tmp_path / "file" / name) == digest(tmp_path / "flags" / name)
+
     def test_r_and_db_exclusive(self, tmp_path, capsys):
         assert run_cli("fi", "--ra", 0.2, "--sa-db", 1.0, "--out", tmp_path) == 1
         assert "not both" in capsys.readouterr().err
@@ -88,6 +134,10 @@ class TestFi:
         assert abs(float(values["fi"]) - 6 * np.exp(0.4)) < 1e-4
         assert abs(float(values["qfi"]) - 6 * np.exp(0.4)) < 1e-9
         assert abs(float(values["e_value"]) - 2 * np.exp(0.4)) < 1e-4
+
+    def test_delta_axis_with_other_generator_is_an_error(self, tmp_path, capsys):
+        assert run_cli("fi", "--gen", "phase", "--delta-axis", 0.2, "--out", tmp_path) == 1
+        assert "delta applies to the displacement generator only" in capsys.readouterr().err
 
     def test_fi_angles_map(self, tmp_path):
         out = tmp_path / "angles"
@@ -163,6 +213,16 @@ class TestReproduce:
         assert run_cli("reproduce", "fig3a", "--out", out) == 0
         header, rows = read_csv(out / "fig3a_displacement_inphase.csv")
         assert len(rows) == 60 * 60
+
+    def test_fig3_is_fig3a_and_fig3b(self, tmp_path):
+        assert run_cli("reproduce", "fig3", "--out", tmp_path / "both") == 0
+        assert run_cli("reproduce", "fig3a", "--out", tmp_path / "parts") == 0
+        assert run_cli("reproduce", "fig3b", "--out", tmp_path / "parts") == 0
+        for name in ("fig3a_displacement_inphase.csv", "fig3b_displacement_inquad.csv"):
+            # the rows differ only in the config_hash column, which hashes the target
+            both, parts = read_csv(tmp_path / "both" / name), read_csv(tmp_path / "parts" / name)
+            assert both[0] == parts[0]
+            assert [r[:-2] + r[-1:] for r in both[1]] == [r[:-2] + r[-1:] for r in parts[1]]
 
     def test_fig5_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "f1", tmp_path / "f2"

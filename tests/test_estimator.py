@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -254,6 +255,8 @@ class TestBinning:
             half = default_half_range(record, delta)
             assert abs(half / delta - round(half / delta)) < 1e-9
             assert half >= 6 * record.pairs.std(axis=0).max() - delta
+            spread = 6 * record.pairs.std(axis=0, ddof=1).max()
+            assert half == math.ceil(spread / delta - 1e-9) * delta
 
 
 class TestHellinger:
