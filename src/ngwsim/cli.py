@@ -164,6 +164,8 @@ def cmd_analytic(args):
     kind = args.scan
     if kind not in _EQ_FUNCTIONS:
         raise ValueError(f"unknown generator {kind!r}")
+    if args.delta_axis != 0.0 and kind != "displacement":
+        raise ValueError("--delta-axis applies to the displacement scan only")
     options = {"phi_sub": args.phi, "sign": args.sign}
     if kind == "displacement":
         options["delta"] = args.delta_axis
@@ -415,7 +417,7 @@ def _repro_appB(args):
     return tables
 
 
-# target: (table builders, whether the rows carry the run's seed)
+# target: (table builders, whether the rows and the hashed entries carry the run's seed)
 _TARGETS = {
     "fig2": ((_repro_fig2,), False),
     "fig3": ((_repro_fig3a, _repro_fig3b), False),
@@ -428,6 +430,10 @@ _TARGETS = {
     "appA": ((_repro_appA,), False),
     "appB": ((_repro_appB,), False),
 }
+
+# the fig6 grid flags, which no other target reads
+_FIG6_DEFAULTS = {"reps": 30, "sample_counts": "1000000,2000000,4000000,10000000",
+                  "deltas": "0.05,0.1,0.2,0.3,0.4"}
 
 _PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
@@ -477,10 +483,16 @@ if __name__ == "__main__":
 def cmd_reproduce(args):
     target = args.target
     builders, seeded = _TARGETS[target]
-    entries = {"target": target, "seed": args.seed}
+    entries = {"target": target}
     if target == "fig6":
-        entries.update({"reps": args.reps, "sample-counts": args.sample_counts,
-                        "deltas": args.deltas})
+        for dest, default in _FIG6_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            entries[dest.replace("_", "-")] = getattr(args, dest)
+    elif any(getattr(args, dest) is not None for dest in _FIG6_DEFAULTS):
+        raise ValueError("--reps, --sample-counts and --deltas apply to fig6 only")
+    if seeded:
+        entries["seed"] = args.seed
     tables = [table for build in builders for table in build(args)]
     paths = _write_bundle(args.out, target, f"reproduce {target}", entries, tables,
                           seed=args.seed if seeded else 0)
@@ -569,11 +581,12 @@ def build_parser():
     p = command("reproduce", cmd_reproduce, "figure-level reproduction bundles")
     p.add_argument("target", choices=list(_TARGETS))
     p.add_argument("--seed", type=int, default=42, help="RNG seed")
-    p.add_argument("--reps", type=int, default=30, help="replicates for fig6")
-    p.add_argument("--sample-counts", default="1000000,2000000,4000000,10000000",
-                   help="comma list of sample counts for fig6")
-    p.add_argument("--deltas", default="0.05,0.1,0.2,0.3,0.4",
-                   help="comma list of bin sizes for fig6")
+    p.add_argument("--reps", type=int,
+                   help=f"replicates for fig6 (default {_FIG6_DEFAULTS['reps']})")
+    p.add_argument("--sample-counts", help="comma list of sample counts for fig6 "
+                   f"(default {_FIG6_DEFAULTS['sample_counts']})")
+    p.add_argument("--deltas",
+                   help=f"comma list of bin sizes for fig6 (default {_FIG6_DEFAULTS['deltas']})")
 
     return parser
 

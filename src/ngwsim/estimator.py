@@ -41,19 +41,18 @@ def _rng_for(seed, stream=0):
 def _mixture(density):
     """Exact mixture form of a measured density.
 
-    With sigma = L L^T and y = mean + L u the density is
-    (u^T W u + c) phi(u), W = L^T Q L = V diag(d) V^T and Tr W + c = 1. In the
-    eigenframe v = V^T u it is the mixture of a standard normal (weight c) and,
-    for each axis k (weight d_k), a chi distribution with 3 degrees of freedom
-    and random sign on axis k times a standard normal on the other axis.
-    Returns the weights (c, d_1, d_2) and the map y - mean = (L V) v.
+    In its whitened eigenframe y - mean = M v (JointDensity.eigenframe) the
+    density is (c + d_1 v_1^2 + d_2 v_2^2) phi(v) with c = 1 - d_1 - d_2: the
+    mixture of a standard normal (weight c) and, for each axis k (weight d_k),
+    a chi distribution with 3 degrees of freedom and random sign on axis k
+    times a standard normal on the other axis. Returns the weights
+    (c, d_1, d_2) and M.
     """
-    chol = np.linalg.cholesky(density.sigma)
-    d, vecs = np.linalg.eigh(chol.T @ density.polyQ @ chol)
-    weights = np.array([density.poly0, d[0], d[1]], dtype=float)
+    d, frame, _ = density.eigenframe()
+    weights = np.array([1.0 - d.sum(), d[0], d[1]])
     if weights.min() < -1e-12:
         raise ValueError(f"density polynomial is negative somewhere (weights {weights})")
-    return np.maximum(weights, 0.0), chol @ vecs
+    return np.maximum(weights, 0.0), frame
 
 
 def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
@@ -151,13 +150,13 @@ def bin_samples(data, delta, half_range):
 
     half_range must be a positive multiple of delta so the grid is symmetric
     about zero with an even number of bins per axis; out-of-range samples are
-    dropped and counted. Non-finite pairs raise ValueError.
+    dropped and counted. Non-finite pairs, delta or half_range raise ValueError.
     """
-    if delta <= 0.0:
-        raise ValueError("bin size must be positive")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"bin size delta must be positive and finite, got {delta!r}")
     n_half = half_range / delta
-    if half_range <= 0.0 or abs(n_half - round(n_half)) > 1e-9:
-        raise ValueError("half_range must be a positive multiple of delta")
+    if not (np.isfinite(half_range) and half_range > 0.0) or abs(n_half - round(n_half)) > 1e-9:
+        raise ValueError(f"half_range must be a finite positive multiple of delta: {half_range!r}")
     pairs = _finite_pairs(data)
     return _histogram(pairs.T, (0.0, 0.0), delta, half_range, 2 * int(round(n_half)))
 
@@ -221,6 +220,8 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size < 4:
         raise ValueError("need at least 4 theta points for the parabola fit")
+    if not np.isfinite(theta_grid).all():
+        raise ValueError("theta grid must be finite")
     pairs = data.pairs
     m_half = len(pairs) // 2
     if m_half < 1:

@@ -1,12 +1,13 @@
 """Classical Fisher information of homodyne outcome distributions.
 
 The measured joint density for any generator, parameter point and basis is a
-bivariate polynomial-times-Gaussian whose parameters depend smoothly on the
-estimation parameter. The integrand p (d log p / d theta)^2 is assembled from
-exact parameter derivatives (forward-mode matrix calculus through the
-symplectic family and the marginalization). In polar coordinates of the
-whitened eigenframe its radial integral is closed-form, so the only
-numerical step is a periodic 1-D integral over the angle.
+bivariate Gaussian plus its second derivatives, fixed by a pair (Sigma, T)
+that is linear in the state's (cov, t): Sigma = m cov m^T and T = m t m^T for
+the measured rows m of the total symplectic map. Their exact
+theta-derivatives follow from the product rule. In polar coordinates of the
+whitened eigenframe the radial integral of p (d log p / d theta)^2 is
+closed-form, so the only numerical step is a periodic 1-D integral over the
+angle.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from .moments import generator_total_variance
 from .quadrature import integrate_adaptive
-from .state import QuadratureBasis, X_BASIS
+from .state import JointDensity, QuadratureBasis, X_BASIS
 
 NONLOCAL_SATURATING_BASIS = QuadratureBasis(0.0, np.pi / 2, -np.pi / 4)
 
@@ -29,52 +30,20 @@ _E1_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range
 
 
 def _measured_family_with_derivative(state, gen, basis, theta0):
-    """2-D marginal parameters (Sigma, Q, c) and their exact theta-derivatives
-    (with that of the mean) at theta0."""
-    s_meas = basis.symplectic()
-    s4, _, ds4, d_shift = gen.flow(theta0)
-    m_tot = s_meas @ s4
-    dm_tot = s_meas @ ds4
+    """Measured density at theta0, a JointDensity (Sigma, T, mean), and the
+    exact theta-derivatives (dSigma, dT, dmean) of its fields.
 
-    sigma = m_tot @ state.cov @ m_tot.T
-    d_sigma = dm_tot @ state.cov @ m_tot.T + m_tot @ state.cov @ dm_tot.T
-    inv_m = np.linalg.inv(m_tot)
-    d_inv = -inv_m @ dm_tot @ inv_m
-    poly_q = inv_m.T @ state.polyQ @ inv_m
-    d_poly_q = d_inv.T @ state.polyQ @ inv_m + inv_m.T @ state.polyQ @ d_inv
-
-    d_mean = dm_tot @ state.mean + s_meas @ d_shift
-
-    keep, drop = [0, 2], [1, 3]
-    syy = sigma[np.ix_(keep, keep)]
-    swy = sigma[np.ix_(drop, keep)]
-    sww = sigma[np.ix_(drop, drop)]
-    d_syy = d_sigma[np.ix_(keep, keep)]
-    d_swy = d_sigma[np.ix_(drop, keep)]
-    d_sww = d_sigma[np.ix_(drop, drop)]
-    syy_inv = np.linalg.inv(syy)
-    reg = swy @ syy_inv
-    d_reg = d_swy @ syy_inv - swy @ syy_inv @ d_syy @ syy_inv
-    cond = sww - reg @ swy.T
-    d_cond = d_sww - d_reg @ swy.T - reg @ d_swy.T
-
-    qyy, qww = poly_q[np.ix_(keep, keep)], poly_q[np.ix_(drop, drop)]
-    qyw = poly_q[np.ix_(keep, drop)]
-    d_qyy, d_qww = d_poly_q[np.ix_(keep, keep)], d_poly_q[np.ix_(drop, drop)]
-    d_qyw = d_poly_q[np.ix_(keep, drop)]
-
-    q2 = qyy + qyw @ reg + reg.T @ qyw.T + reg.T @ qww @ reg
-    d_q2 = (
-        d_qyy + d_qyw @ reg + qyw @ d_reg
-        + d_reg.T @ qyw.T + reg.T @ d_qyw.T
-        + d_reg.T @ qww @ reg + reg.T @ d_qww @ reg + reg.T @ qww @ d_reg
-    )
-    c2 = state.poly0 + np.trace(qww @ cond)
-    d_c2 = np.trace(d_qww @ cond + qww @ d_cond)
-
-    params = (syy, q2, c2)
-    derivs = (d_syy, d_q2, d_c2, d_mean[keep])
-    return params, derivs
+    With the measured rows m = (S_basis S(theta))[[0, 2]] and their
+    derivative dm, Sigma = m cov m^T, T = m t m^T and
+    dSigma = dm cov m^T + m cov dm^T, and likewise for T.
+    """
+    rows = basis.symplectic()[[0, 2]]
+    s, shift, ds, d_shift = gen.flow(theta0)
+    m, dm = rows @ s, rows @ ds
+    density = JointDensity(sigma=m @ state.cov @ m.T, t=m @ state.t @ m.T,
+                           mean=m @ state.mean + rows @ shift)
+    d_sigma, d_t = dm @ state.cov @ m.T, dm @ state.t @ m.T
+    return density, (d_sigma + d_sigma.T, d_t + d_t.T, dm @ state.mean + rows @ d_shift)
 
 
 def _radial_integrals(a, c):
@@ -102,35 +71,35 @@ def _radial_integrals(a, c):
     return out
 
 
-def _polar_integrand(params, derivs):
+def _polar_integrand(density, derivs):
     """FI integrand over the mapped angle psi, its radial part in closed form.
 
     In the whitened eigenframe y - mean = M v of the measured density
-    (M^T Sigma^-1 M = 1, M^T Q M = diag(d_1, d_2)), the integrand is
-    N(rho, w)^2 e^(-rho^2/2) / (2 pi (A(w) rho^2 + c)) with
-    A = d_1 cos^2 w + d_2 sin^2 w and N = (dp/dtheta) / gauss, a quartic in
-    rho. Odd powers of rho in N^2 cancel between w and w + pi. Nodes are
+    (JointDensity.eigenframe: M^-1 Sigma M^-T = 1, M^-1 T M^-T = diag(d)),
+    the density is (c + d_1 v_1^2 + d_2 v_2^2) phi(v) with c = 1 - d_1 - d_2,
+    and the integrand is N(rho, w)^2 e^(-rho^2/2) / (2 pi (A(w) rho^2 + c))
+    with A = d_1 cos^2 w + d_2 sin^2 w and N = (dp/dtheta) / gauss, a quartic
+    in rho. Odd powers of rho in N^2 cancel between w and w + pi. Nodes are
     pulled toward w = 0 and pi, where A is smallest, by
     w = atan2(kappa sin psi, cos psi).
     """
-    sigma, q2, c2 = params
-    d_sigma, d_q2, d_c2, d_mean = derivs
-    chol = np.linalg.cholesky(sigma)
-    d, frame = np.linalg.eigh(chol.T @ q2 @ chol)
-    m = chol @ frame
-    m_inv = np.linalg.inv(m)
-    p = m.T @ d_q2 @ m
+    d_sigma, d_t, d_mean = derivs
+    d, _, m_inv = density.eigenframe()
+    s_w, t_w = m_inv @ d_sigma @ m_inv.T, m_inv @ d_t @ m_inv.T
+    # P = M^T (dQ/dtheta) M for the polynomial form (u^T Q u + c) G_Sigma(u), and dc
+    p = t_w - s_w * d - d[:, None] * s_w
+    c, d_c = 1.0 - d.sum(), s_w.diagonal() @ d - np.trace(t_w)
     # Roundoff-level eigenvalues and c are zeroed. The density then vanishes on
     # a line (or at the centre); being >= 0 for every theta, so does its
     # derivative, so P_kk and dc are zeroed too and N = 0 wherever p = 0.
-    scale = max(d[1], c2)
+    scale = max(d[1], c)
     flat = d < 1e-12 * scale
     d[flat] = 0.0
     p[flat, flat] = 0.0
-    c, d_c = (c2, d_c2) if c2 >= 1e-12 * scale else (0.0, 0.0)
-    r = 0.5 * m_inv @ d_sigma @ m_inv.T
+    c, d_c = (c, d_c) if c >= 1e-12 * scale else (0.0, 0.0)
+    r = 0.5 * s_w
     h = m_inv @ d_mean
-    t = -np.trace(r)
+    tr_r = -np.trace(r)
     floor = max(d[0], c)
     kappa = (floor / d[1]) ** 0.25 if 0.0 < floor < d[1] else 1.0
 
@@ -140,8 +109,8 @@ def _polar_integrand(params, derivs):
         e /= np.sqrt(norm_sq)
         a = d @ (e * e)
         e_h, e_r = h @ e, np.einsum("in,ij,jn->n", e, r, e)
-        coef = [np.full_like(a, d_c + c * t), (c - 2.0 * d) * h @ e,
-                np.einsum("in,ij,jn->n", e, p, e) + c * e_r + a * t, a * e_h, a * e_r]
+        coef = [np.full_like(a, d_c + c * tr_r), (c - 2.0 * d) * h @ e,
+                np.einsum("in,ij,jn->n", e, p, e) + c * e_r + a * tr_r, a * e_h, a * e_r]
         # even coefficients of N^2; the odd ones cancel over the circle
         even = [sum(coef[i] * coef[2 * m - i] for i in range(max(0, 2 * m - 4), min(2 * m, 4) + 1))
                 for m in range(5)]
@@ -153,8 +122,8 @@ def _polar_integrand(params, derivs):
 
 def fi_continuous(state, gen, basis=X_BASIS, theta0=0.0):
     """Fisher information of the measured joint density at theta0."""
-    params, derivs = _measured_family_with_derivative(state, gen, basis, theta0)
-    value, _err = integrate_adaptive(_polar_integrand(params, derivs), rel_tol=_REL_TOL)
+    density, derivs = _measured_family_with_derivative(state, gen, basis, theta0)
+    value, _err = integrate_adaptive(_polar_integrand(density, derivs), rel_tol=_REL_TOL)
     return value
 
 

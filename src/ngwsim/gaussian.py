@@ -1,7 +1,10 @@
 """Gaussian phase-space linear algebra.
 
 Everything in this package uses the quadrature ordering (x_A, p_A, x_B, p_B)
-with [x, p] = 2i, so the vacuum covariance matrix is the identity.
+with [x, p] = 2i, so the vacuum covariance matrix is the identity. States are
+a Gaussian G_sigma plus its second derivatives sum_ij t_ij d_i d_j G_sigma;
+their moments are Isserlis sums in which at most one pair is contracted with
+2 t instead of sigma.
 """
 
 import numpy as np
@@ -17,40 +20,23 @@ OMEGA = np.array([
 ])
 
 
-def gaussian_moment(indices, sigma):
-    """Isserlis expectation E[xi_{i1} ... xi_{ik}] for a centered Gaussian.
+def poly_gauss_moment(indices, sigma, t=None):
+    """Central moment E[xi_{i1}...xi_{ik}] under the normalized density
+    G_sigma + sum_ab t_ab d_a d_b G_sigma (under G_sigma alone if t is None).
 
-    Parameters
-    ----------
-    indices : sequence of int
-        Coordinate indices, repeated according to the monomial powers.
-    sigma : ndarray
-        Covariance matrix of the Gaussian.
+    Integrating by parts moves the derivatives onto the monomial, so the
+    moment is the Isserlis sum over pairings of the indices in which at most
+    one pair is contracted with 2 t instead of sigma.
     """
-    n = len(indices)
-    if n == 0:
+    if len(indices) == 0:
         return 1.0
-    if n % 2 == 1:
-        return 0.0
     head, rest = indices[0], list(indices[1:])
     total = 0.0
-    for k in range(len(rest)):
-        total += sigma[head, rest[k]] * gaussian_moment(rest[:k] + rest[k + 1:], sigma)
-    return total
-
-
-def poly_gauss_moment(indices, sigma, poly_q, poly0):
-    """Central moment E[xi_{i1}...xi_{ik}] under the normalized density
-    (xi^T Q xi + q0) G_sigma(xi), assuming Tr(Q sigma) + q0 = 1."""
-    total = poly0 * gaussian_moment(list(indices), sigma)
-    dim = sigma.shape[0]
-    for a in range(dim):
-        for b in range(a, dim):
-            q = poly_q[a, b]
-            if q == 0.0:
-                continue
-            w = q if a == b else 2.0 * q
-            total += w * gaussian_moment(list(indices) + [a, b], sigma)
+    for k, other in enumerate(rest):
+        others = rest[:k] + rest[k + 1:]
+        total += sigma[head, other] * poly_gauss_moment(others, sigma, t)
+        if t is not None:
+            total += 2.0 * t[head, other] * poly_gauss_moment(others, sigma)
     return total
 
 
@@ -101,39 +87,3 @@ def check_physical(cov, tol=1e-9):
             f"uncertainty bound violated: min symplectic eigenvalue {nu.min():.6g} < 1"
         )
     return nu
-
-
-def marginal_params(sigma, poly_q, poly0, keep):
-    """Marginalize a centered polynomial-times-Gaussian density in closed form.
-
-    Integrating out the complement of ``keep`` maps
-    (xi^T Q xi + q0) G_sigma onto (y^T Q' y + c') G_sigma' with the same total
-    integral. Returns (sigma', Q', c').
-    """
-    dim = sigma.shape[0]
-    keep = list(keep)
-    drop = [i for i in range(dim) if i not in keep]
-    syy = sigma[np.ix_(keep, keep)]
-    if not drop:
-        return syy, poly_q[np.ix_(keep, keep)], poly0
-    swy = sigma[np.ix_(drop, keep)]
-    sww = sigma[np.ix_(drop, drop)]
-    syy_inv = np.linalg.inv(syy)
-    reg = swy @ syy_inv                      # conditional mean coefficient
-    cond = sww - swy @ syy_inv @ swy.T       # conditional covariance
-    qyy = poly_q[np.ix_(keep, keep)]
-    qww = poly_q[np.ix_(drop, drop)]
-    qyw = poly_q[np.ix_(keep, drop)]
-    q_out = qyy + qyw @ reg + reg.T @ qyw.T + reg.T @ qww @ reg
-    c_out = poly0 + np.trace(qww @ cond)
-    return syy, q_out, c_out
-
-
-def convolve_params(sigma, poly_q, poly0, noise_cov):
-    """Convolve (xi^T Q xi + q0) G_sigma with a centered Gaussian of covariance
-    noise_cov. The total integral is preserved exactly. Returns (sigma', Q', c')."""
-    total = sigma + noise_cov
-    k = sigma @ np.linalg.inv(total)
-    q_out = k.T @ poly_q @ k
-    c_out = poly0 + np.trace(poly_q @ k @ noise_cov)
-    return total, q_out, c_out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import OMEGA
+from .gaussian import OMEGA, poly_gauss_moment
 
 # kind -> (orientation, local A, local b); the one place that tells the kinds
 # apart. Orientation -1 stores -H for the gates that follow e^{+i theta H}.
@@ -99,6 +99,8 @@ class GeneratorSpec:
         theta-derivatives: S = exp(theta K) with K = 2 Omega A, so
         dS/dtheta = K S, and d shift/dtheta = K shift + 2 Omega b.
         Returns (S, shift, dS/dtheta, d shift/dtheta)."""
+        if not np.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
         k, drift = 2.0 * OMEGA @ self.a, 2.0 * OMEGA @ self.b
         s, shift = np.zeros((4, 4)), np.zeros(4)
         for block in (slice(0, 2), slice(2, 4)):
@@ -124,7 +126,8 @@ def quad_moment(state, x_a=0, p_a=0, x_b=0, p_b=0):
         weight = math.prod(math.comb(n, j) * m ** (n - j)
                            for n, j, m in zip(powers, sub, state.mean))
         if weight:
-            total += weight * state.moment([i for i, j in enumerate(sub) for _ in range(j)])
+            indices = [i for i, j in enumerate(sub) for _ in range(j)]
+            total += weight * poly_gauss_moment(indices, state.cov, state.t)
     return total
 
 
@@ -132,18 +135,18 @@ def _covariance(state, part_1, part_2):
     """Symmetrized Cov(H_1, H_2) of two quadratic Hamiltonians (A_i, b_i).
 
     With u = xi - mean, H_iW = u^T A_i u / 2 + g_i^T u + const and
-    g_i = A_i mean + b_i. Under (u^T Q u + c) G_cov(u), with X_i = A_i cov,
-    Y = Q cov and V the state's second moments, Gaussian trace identities give
-    tr(X_1 X_2) / 2 + 2 tr(X_1 X_2 Y) - tr(X_1 Y) tr(X_2 Y) + g_1^T V g_2;
-    the linear-quadratic cross terms vanish because the density is even in u.
+    g_i = A_i mean + b_i. Under G_cov(u) + sum t_ij d_i d_j G_cov(u), with V
+    the state's second moments, Gaussian trace identities give
+    tr(A_1 cov A_2 cov) / 2 + 2 tr(A_1 cov A_2 t) - tr(A_1 t) tr(A_2 t)
+    + g_1^T V g_2; the linear-quadratic cross terms vanish because the density
+    is even in u.
     """
     (a_1, b_1), (a_2, b_2) = part_1, part_2
-    y = state.polyQ @ state.cov
     x_1, x_2 = a_1 @ state.cov, a_2 @ state.cov
     g_1, g_2 = a_1 @ state.mean + b_1, a_2 @ state.mean + b_2
-    return (0.5 * np.trace(x_1 @ x_2) + 2.0 * np.trace(x_1 @ x_2 @ y)
-            - np.trace(x_1 @ y) * np.trace(x_2 @ y) + g_1 @ state.second_moments() @ g_2
-            + 0.5 * np.trace(a_1 @ OMEGA @ a_2 @ OMEGA))
+    return (0.5 * np.trace(x_1 @ x_2) + 2.0 * np.trace(x_1 @ a_2 @ state.t)
+            - np.trace(a_1 @ state.t) * np.trace(a_2 @ state.t)
+            + g_1 @ state.second_moments() @ g_2 + 0.5 * np.trace(a_1 @ OMEGA @ a_2 @ OMEGA))
 
 
 def generator_variance(state, gen, mode):

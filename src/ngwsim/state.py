@@ -1,11 +1,13 @@
 """Two-mode photon-subtracted squeezed states and their quadrature densities.
 
 The state after delocalized single-photon subtraction is represented exactly
-as a degree-2 polynomial times a Gaussian over phase space
-(x_A, p_A, x_B, p_B). That class is closed under symplectic maps,
-displacements, uniform loss and marginalization, so every operation here is
-in closed form. The measured joint quadrature density for any pair of
-homodyne angles follows by rotating and marginalizing the conjugate pair.
+as a Gaussian plus its own second derivatives over phase space
+(x_A, p_A, x_B, p_B): G_cov(u) + sum_ij t_ij d_i d_j G_cov(u), u = xi - mean
+(Walschaers, Fabre, Parigi & Treps, PRL 119, 183601 (2017)). Every operation
+here is linear in the pair (cov, t): symplectic maps and uniform loss act on
+both as on a covariance matrix, and marginalization keeps their rows and
+columns. The measured joint quadrature density for any pair of homodyne
+angles follows by rotating and keeping the x components.
 """
 
 from dataclasses import dataclass, field, replace
@@ -13,13 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateStateError
-from .gaussian import (
-    convolve_params,
-    local_rotation,
-    marginal_params,
-    mode_mixing,
-    poly_gauss_moment,
-)
+from .gaussian import local_rotation, mode_mixing, poly_gauss_moment
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,53 +91,25 @@ P_BASIS = QuadratureBasis(np.pi / 2, np.pi / 2)
 
 @dataclass(frozen=True)
 class PolyGaussianState:
-    """Degree-2 polynomial times Gaussian phase-space density.
+    """A Gaussian plus its second derivatives over phase space.
 
-    density(xi) = norm * ((xi-mean)^T polyQ (xi-mean) + poly0)
-                       * exp(-(xi-mean)^T cov^{-1} (xi-mean) / 2)
+    density(xi) = G_cov(u) + sum_ij t_ij d_i d_j G_cov(u),  u = xi - mean,
 
-    cov is the covariance of the Gaussian factor, not of the state; physical
-    second moments are given by second_moments(). The polynomial is kept
-    canonical, Tr(polyQ cov) + poly0 = 1, so norm = 1/((2 pi)^2 sqrt(det cov)).
+    with G_cov the normalized centered Gaussian of covariance cov. The
+    derivative terms integrate to zero, so the density is normalized for any
+    t; as a polynomial times G_cov it is (u^T Q u + c) G_cov(u) with
+    Q = cov^-1 t cov^-1 and c = 1 - tr(cov^-1 t). The physical second moments
+    are cov + 2 t (second_moments()).
     """
 
     cov: np.ndarray
-    polyQ: np.ndarray
-    poly0: float
+    t: np.ndarray
     mean: np.ndarray = field(default_factory=lambda: np.zeros(4))
     pure: bool = True
 
-    def __post_init__(self):
-        total = float(np.trace(self.polyQ @ self.cov) + self.poly0)
-        if not np.isfinite(total) or total <= 1e-14:
-            raise DegenerateStateError("polynomial prefactor integrates to zero norm")
-        if abs(total - 1.0) > 1e-12:
-            object.__setattr__(self, "polyQ", self.polyQ / total)
-            object.__setattr__(self, "poly0", self.poly0 / total)
-
-    @property
-    def norm(self):
-        """Normalization constant of the phase-space density."""
-        return 1.0 / ((2.0 * np.pi) ** 2 * np.sqrt(np.linalg.det(self.cov)))
-
     def second_moments(self):
         """Physical 4x4 covariance matrix (the matrix V of the state)."""
-        return self.cov + 2.0 * self.cov @ self.polyQ @ self.cov
-
-    def moment(self, indices):
-        """Central phase-space (Weyl) moment for the given coordinate indices."""
-        return poly_gauss_moment(indices, self.cov, self.polyQ, self.poly0)
-
-    def transformed(self, symplectic):
-        """Push the density through xi -> S xi."""
-        s = np.asarray(symplectic, dtype=float)
-        s_inv = np.linalg.inv(s)
-        return replace(
-            self,
-            cov=s @ self.cov @ s.T,
-            polyQ=s_inv.T @ self.polyQ @ s_inv,
-            mean=s @ self.mean,
-        )
+        return self.cov + 2.0 * self.t
 
     def displaced(self, shift):
         return replace(self, mean=self.mean + np.asarray(shift, dtype=float))
@@ -151,9 +119,11 @@ def build_state(spec):
     """Construct the lossless photon-subtracted state for a StateSpec.
 
     The (x_A, x_B) marginal of the result is the squared wavefunction of the
-    subtracted state; the second moments reproduce the noisy-covariance
-    construction V0 + 2 (V0-1) P (V0-1) / Tr[(V0-1) P]. Loss is applied
-    separately (apply_loss), also when spec.eta > 0.
+    subtracted state. cov is the squeezed vacuum V0 and
+    t = (V0 - 1) P (V0 - 1) / Tr[(V0 - 1) P], with P the projector on the
+    subtracted mode, so the second moments cov + 2 t are those of the
+    noisy-covariance construction. Loss is applied separately (apply_loss),
+    also when spec.eta > 0.
     """
     a = np.exp(2.0 * spec.r_a)
     b = np.exp(2.0 * spec.r_b)
@@ -161,63 +131,64 @@ def build_state(spec):
     beta = (b - 1.0) * np.sin(spec.phi_sub)
     if abs(alpha) < 1e-12 and abs(beta) < 1e-12:
         raise DegenerateStateError("photon subtraction weight vanishes for this spec")
-    sigma = np.diag([1.0 / a, a, 1.0 / b, b])
-    u = np.array([alpha, 0.0, beta, 0.0])
-    v = np.array([0.0, alpha / a, 0.0, beta / b])
-    poly_q = np.outer(u, u) + np.outer(v, v)
-    poly0 = -(alpha**2 / a + beta**2 / b)
-    state = PolyGaussianState(cov=sigma, polyQ=poly_q, poly0=poly0)
+    # (V0 - 1) applied to the subtracted mode's x and p directions, up to sign
+    u = np.array([alpha / a, 0.0, beta / b, 0.0])
+    v = np.array([0.0, alpha, 0.0, beta])
+    t = (np.outer(u, u) + np.outer(v, v)) / (alpha**2 / a + beta**2 / b)
+    state = PolyGaussianState(cov=np.diag([1.0 / a, a, 1.0 / b, b]), t=t)
     if spec.eta > 0.0:
         state = apply_loss(state, spec.eta)
     return state
 
 
 def apply_loss(state, eta):
-    """Uniform loss channel: V -> (1 - eta) V + eta I on the covariance level,
-    implemented exactly on the polynomial-times-Gaussian representation."""
+    """Uniform loss channel: V -> (1 - eta) V + eta I on the covariance level.
+
+    It scales xi -> sqrt(1 - eta) xi and convolves with vacuum noise eta I;
+    the derivative terms commute with the convolution, so
+    cov -> (1 - eta) cov + eta I and t -> (1 - eta) t.
+    """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
     if eta == 0.0:
         return state
     keep = 1.0 - eta
-    # scale xi -> sqrt(keep) xi, then convolve with vacuum noise eta * I
-    scaled_cov = keep * state.cov
-    scaled_q = state.polyQ / keep
-    cov, poly_q, poly0 = convolve_params(scaled_cov, scaled_q, state.poly0, eta * np.eye(4))
-    return PolyGaussianState(
-        cov=cov,
-        polyQ=poly_q,
-        poly0=poly0,
-        mean=np.sqrt(keep) * state.mean,
-        pure=False,
-    )
+    return PolyGaussianState(cov=keep * state.cov + eta * np.eye(4), t=keep * state.t,
+                             mean=np.sqrt(keep) * state.mean, pure=False)
 
 
 def evolve(state, gen, theta):
-    """Apply the affine-symplectic phase-space map of a GeneratorSpec
-    (GeneratorSpec.flow).
+    """Push the state through the affine-symplectic phase-space map
+    xi -> S xi + shift of a GeneratorSpec (GeneratorSpec.flow): cov and t go
+    to S cov S^T and S t S^T.
 
     Displacement follows the postprocessing convention: the measured density
     obeys p_theta(x_A, x_B) = p_0(x_A + theta d_A, x_B + theta d_B). The
     squeeze map scales Var(x_A) by e^{-2 theta} for positive sign.
     """
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
     s, shift, _, _ = gen.flow(theta)
-    out = state.transformed(s) if not np.array_equal(s, np.eye(4)) else state
-    if np.any(shift):
-        out = out.displaced(shift)
-    return out
+    return replace(state, cov=s @ state.cov @ s.T, t=s @ state.t @ s.T, mean=s @ state.mean + shift)
 
 
 @dataclass(frozen=True)
 class JointDensity:
-    """Normalized bivariate density (poly * Gaussian) over measured quadratures."""
+    """Normalized bivariate density G_sigma(u) + sum_ij t_ij d_i d_j G_sigma(u),
+    u = y - mean, over the measured quadratures."""
 
     sigma: np.ndarray
-    polyQ: np.ndarray
-    poly0: float
+    t: np.ndarray
     mean: np.ndarray
+
+    @property
+    def polyQ(self):
+        """Q of the equal form (u^T Q u + c) G_sigma(u): sigma^-1 t sigma^-1."""
+        sig_inv = np.linalg.inv(self.sigma)
+        return sig_inv @ self.t @ sig_inv
+
+    @property
+    def poly0(self):
+        """c of the equal form (u^T Q u + c) G_sigma(u): 1 - tr(sigma^-1 t)."""
+        return 1.0 - np.trace(np.linalg.solve(self.sigma, self.t))
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.mean
@@ -235,20 +206,32 @@ class JointDensity:
 
     def covariance(self):
         """Physical 2x2 second-moment matrix of the measured pair."""
-        return self.sigma + 2.0 * self.sigma @ self.polyQ @ self.sigma
+        return self.sigma + 2.0 * self.t
 
     def moment(self, i_power, j_power):
         """Central Weyl moment <y_1^n y_2^m> of the measured pair."""
         idx = [0] * i_power + [1] * j_power
-        return poly_gauss_moment(idx, self.sigma, self.polyQ, self.poly0)
+        return poly_gauss_moment(idx, self.sigma, self.t)
+
+    def eigenframe(self):
+        """Whitened eigenframe (d, frame, frame_inv) of the density.
+
+        With sigma = L L^T, L^-1 t L^-T = V diag(d) V^T (d ascending),
+        frame = L V and frame_inv = V^T L^-1. In the coordinates
+        v = frame_inv (y - mean) the density is
+        (1 - sum_k d_k + sum_k d_k v_k^2) times the standard normal.
+        """
+        chol = np.linalg.cholesky(self.sigma)
+        chol_inv = np.linalg.inv(chol)
+        d, vecs = np.linalg.eigh(chol_inv @ self.t @ chol_inv.T)
+        return d, chol @ vecs, vecs.T @ chol_inv
 
 
 def measurement_pdf(state, basis=X_BASIS):
     """Joint density of the homodyne outcomes selected by a QuadratureBasis.
 
-    The state is rotated so the measured quadratures become the x components,
-    then the conjugate pair is integrated out analytically.
+    The measured quadratures are rows 0 and 2 of the basis map; integrating
+    out the conjugate pair keeps those rows and columns of (cov, t).
     """
-    rotated = state.transformed(basis.symplectic())
-    sigma, poly_q, poly0 = marginal_params(rotated.cov, rotated.polyQ, rotated.poly0, keep=[0, 2])
-    return JointDensity(sigma=sigma, polyQ=poly_q, poly0=poly0, mean=rotated.mean[[0, 2]])
+    m = basis.symplectic()[[0, 2]]
+    return JointDensity(sigma=m @ state.cov @ m.T, t=m @ state.t @ m.T, mean=m @ state.mean)

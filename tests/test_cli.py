@@ -51,6 +51,12 @@ class TestAnalytic:
         assert run_cli("analytic", "--scan", "warp", "--out", tmp_path) == 1
         assert "unknown generator" in capsys.readouterr().err
 
+    def test_delta_axis_with_other_generator_is_an_error(self, tmp_path, capsys):
+        assert run_cli("analytic", "--scan", "phase", "--delta-axis", 0.2,
+                       "--sa-range", "1:2:1", "--sb-range", "1:2:1", "--out", tmp_path) == 1
+        assert "--delta-axis" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
 
 class TestConfigFile:
     def test_file_and_flag_override(self, tmp_path):
@@ -118,6 +124,17 @@ class TestConfigFile:
         assert names == sorted(os.listdir(tmp_path / "flags")) and len(names) >= 2
         for name in names:
             assert digest(tmp_path / "file" / name) == digest(tmp_path / "flags" / name)
+
+    @pytest.mark.parametrize("args, name", [
+        (("fi", "--theta0", "nan"), "theta"),
+        (("estimate", "--samples", "1000", "--reps", "1", "--range", "inf"), "half_range"),
+        (("estimate", "--samples", "1000", "--reps", "1", "--theta-max", "nan"), "theta grid"),
+    ])
+    def test_non_finite_value_names_it(self, tmp_path, capsys, args, name):
+        assert run_cli(*args, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / "o").exists()
 
     def test_r_and_db_exclusive(self, tmp_path, capsys):
         assert run_cli("fi", "--ra", 0.2, "--sa-db", 1.0, "--out", tmp_path) == 1
@@ -243,6 +260,23 @@ class TestReproduce:
             values = np.array([p[1] for p in pts])
             base = values[np.argmin(np.abs(deltas))]
             assert np.max(np.abs(values - base * np.cos(2 * deltas))) < 1e-10
+
+    @pytest.mark.parametrize("flag, value", [("--reps", "5"), ("--sample-counts", "1000"),
+                                             ("--deltas", "0.2")])
+    def test_fig6_flag_with_other_target_is_an_error(self, tmp_path, capsys, flag, value):
+        assert run_cli("reproduce", "fig2", flag, value, "--seed", 3, "--out", tmp_path / "o") == 1
+        assert "fig6 only" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_hashed_only_by_seeded_targets(self, tmp_path):
+        for target, seeded in (("fig2", False), ("fig5", True)):
+            runs = []
+            for seed in (3, 4):
+                out = tmp_path / f"{target}_{seed}"
+                assert run_cli("reproduce", target, "--seed", seed, "--out", out) == 0
+                with open(out / f"{target}.manifest") as handle:
+                    runs.append([line for line in handle if line.startswith("config_hash")])
+            assert (runs[0] != runs[1]) == seeded, target
 
     def test_fig6_reduced_grid(self, tmp_path):
         out = tmp_path / "fig6"

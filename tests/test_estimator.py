@@ -159,9 +159,11 @@ class TestMixture:
         assert abs(max(weights[1:]) - 1.0) < 1e-12
 
     def test_negative_weight_rejected(self):
+        # c = 1 - tr(sigma^-1 t) = -1e-6: the pure density's t scaled up
         density = measurement_pdf(STATE)
-        bad = type(density)(sigma=density.sigma, polyQ=density.polyQ,
-                            poly0=-1e-6, mean=density.mean)
+        scale = (1.0 + 1e-6) / np.trace(np.linalg.solve(density.sigma, density.t))
+        bad = type(density)(sigma=density.sigma, t=scale * density.t, mean=density.mean)
+        assert abs(bad.poly0 + 1e-6) < 1e-15
         with pytest.raises(ValueError):
             _mixture(bad)
 
@@ -207,6 +209,11 @@ class TestBinning:
             bin_samples(data, -0.1, 2.0)
         with pytest.raises(ValueError):
             bin_samples(data, 0.3, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta"):
+                bin_samples(data, bad, 2.0)
+            with pytest.raises(ValueError, match="half_range"):
+                bin_samples(data, 0.5, bad)
 
     def test_non_finite_pairs_rejected(self):
         for bad in (np.nan, np.inf):
@@ -332,6 +339,11 @@ class TestEstimateFi:
         record = sample(STATE, 10_000, seed=1)
         with pytest.raises(ValueError):
             estimate_fi(record, theta_grid=[0.01, 0.02, 0.03])
+
+    def test_non_finite_grid_rejected(self):
+        record = sample(STATE, 1000, seed=1)
+        with pytest.raises(ValueError, match="theta grid"):
+            estimate_fi(record, theta_grid=[-0.02, -0.01, 0.01, np.nan])
 
     def test_empty_range_rejected(self):
         record = SampleSet(pairs=np.full((100, 2), 50.0))

@@ -20,6 +20,7 @@ from ngwsim import (
     saturation_check,
 )
 from ngwsim.estimator import _mixture
+from ngwsim.fisher import _measured_family_with_derivative
 
 from oracles import fi_central_difference, fi_lossy_symmetric_1d
 from test_state import random_specs
@@ -113,6 +114,42 @@ class TestDerivativePaths:
         # the generator maps and their theta-derivatives at theta0 != 0
         self.test_matches_panel_oracle(kind, sign, spec, 1e-3, QuadratureBasis(0.41, 2.73),
                                        theta0=0.3)
+
+
+_BASE_SPEC = StateSpec(0.3, -0.2, 0.7)
+
+
+class TestMeasuredFamily:
+    """_measured_family_with_derivative against the measured density of the
+    evolved state and the central differences of its fields."""
+
+    @pytest.mark.parametrize("kind", ["displacement", "phase", "shear", "squeeze"])
+    @pytest.mark.parametrize("make", [
+        lambda: build_state(_BASE_SPEC),
+        lambda: apply_loss(build_state(_BASE_SPEC), 0.2),
+        lambda: build_state(_BASE_SPEC).displaced([0.1, -0.4, 0.3, 0.2]),
+    ], ids=["pure", "lossy", "displaced"])
+    @pytest.mark.parametrize("basis", [QuadratureBasis(0.41, 2.73), QuadratureBasis(0.3, 1.2, 0.7)],
+                             ids=["local", "mixed"])
+    @pytest.mark.parametrize("theta0", [0.0, 0.3])
+    def test_matches_central_differences(self, kind, make, basis, theta0):
+        state, step = make(), 1e-5
+        gen = GeneratorSpec(kind, -1, 0.2 if kind == "displacement" else 0.0)
+        density, derivs = _measured_family_with_derivative(state, gen, basis, theta0)
+        at, plus, minus = (measurement_pdf(evolve(state, gen, theta0 + s), basis)
+                           for s in (0.0, step, -step))
+        for name, deriv in zip(("sigma", "t", "mean"), derivs):
+            value = getattr(density, name)
+            np.testing.assert_allclose(value, getattr(at, name), rtol=0, atol=1e-13)
+            central = (getattr(plus, name) - getattr(minus, name)) / (2.0 * step)
+            np.testing.assert_allclose(deriv, central, rtol=0,
+                                       atol=1e-8 * max(np.abs(deriv).max(), 1.0))
+
+    def test_non_finite_theta0_rejected(self):
+        state = build_state(_BASE_SPEC)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta"):
+                fi_continuous(state, GeneratorSpec("phase", -1), theta0=bad)
 
 
 @st.composite

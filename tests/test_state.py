@@ -198,8 +198,7 @@ class TestApplyLoss:
         one = apply_loss(evolve(state, gen, theta), 0.2)
         two = evolve(apply_loss(state, 0.2), gen, theta)
         assert np.max(np.abs(one.cov - two.cov)) < 1e-10
-        assert np.max(np.abs(one.polyQ - two.polyQ)) < 1e-10
-        assert abs(one.poly0 - two.poly0) < 1e-10
+        assert np.max(np.abs(one.t - two.t)) < 1e-10
 
 
 class TestEvolve:
