@@ -9,8 +9,11 @@ Philox generator, so replicate streams are splittable and order-independent.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -145,6 +148,11 @@ def _histogram(columns, shift, delta, half_range, n_bins):
                            total=total, dropped=len(flat) - total)
 
 
+def _check_bin_size(delta):
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"bin size delta must be positive and finite, got {delta!r}")
+
+
 def bin_samples(data, delta, half_range):
     """Histogram sample pairs into half-open cells [edge, edge + delta).
 
@@ -152,8 +160,7 @@ def bin_samples(data, delta, half_range):
     about zero with an even number of bins per axis; out-of-range samples are
     dropped and counted. Non-finite pairs, delta or half_range raise ValueError.
     """
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"bin size delta must be positive and finite, got {delta!r}")
+    _check_bin_size(delta)
     n_half = half_range / delta
     if not (np.isfinite(half_range) and half_range > 0.0) or abs(n_half - round(n_half)) > 1e-9:
         raise ValueError(f"half_range must be a finite positive multiple of delta: {half_range!r}")
@@ -226,6 +233,7 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     m_half = len(pairs) // 2
     if m_half < 1:
         raise ValueError("sample record too small to split")
+    _check_bin_size(delta)
     if half_range is None:
         half_range = default_half_range(pairs, delta)
     ref = bin_samples(pairs[:m_half], delta, half_range)
@@ -297,14 +305,16 @@ class WitnessEstimate:
 
 def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
                      half_range=None, sign=+1, delta_axis=0.0):
-    """Assemble E = F - (Var p_A + Var p_B) from an x-basis record (Fisher
-    information via the Hellinger fit) and a companion p-basis record (local
-    generator variances). Errors combine in quadrature."""
+    """Assemble E = F - 4 (Var H_A + Var H_B) from an x-basis record (Fisher
+    information via the Hellinger fit) and a companion p-basis record, with
+    4 Var H_k = d_k^2 Var p_k for the displacement direction d (var_pa and
+    var_pb hold the raw Var p_k). Errors combine in quadrature."""
     fit = estimate_fi(x_data, theta_grid, delta, half_range, sign, delta_axis)
     var_pa, err_a = _variance_with_error(p_data.pairs[:, 0])
     var_pb, err_b = _variance_with_error(p_data.pairs[:, 1])
-    e_value = fit.f_corrected - (var_pa + var_pb)
-    stderr = math.sqrt(fit.stderr**2 + err_a**2 + err_b**2)
+    weight_a, weight_b = (displacement_direction(sign, delta_axis) ** 2).tolist()
+    e_value = fit.f_corrected - (weight_a * var_pa + weight_b * var_pb)
+    stderr = math.sqrt(fit.stderr**2 + (weight_a * err_a)**2 + (weight_b * err_b)**2)
     return WitnessEstimate(
         e_value=e_value,
         stderr=stderr,
@@ -356,9 +366,7 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
     else:
         estimates = [one(i) for i in range(reps)]
     values = np.array([est.e_value for est in estimates])
-    raw_values = np.array([
-        est.fit.f_raw - (est.var_pa + est.var_pb) for est in estimates
-    ])
+    raw_values = np.array([est.e_value - est.fit.f_corrected + est.fit.f_raw for est in estimates])
     mean = float(values.mean())
     raw_mean = float(raw_values.mean())
     if reps > 1:
@@ -384,32 +392,33 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
     )
 
 
+def _opened(path_or_buffer, mode):
+    """An ASCII text file opened at a path, or an open handle left open."""
+    if isinstance(path_or_buffer, (str, bytes, os.PathLike)):
+        return open(path_or_buffer, mode, encoding="ascii")
+    return nullcontext(path_or_buffer)
+
+
 def save_samples_csv(data, path_or_buffer):
-    """Write a sample record as CSV with header x_a,x_b and round-trip floats."""
-    close = False
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        handle = open(path_or_buffer, "w", encoding="ascii")
-        close = True
-    else:
-        handle = path_or_buffer
-    try:
+    """Write a sample record as CSV: the header x_a,x_b, then one line
+    repr(x_a),repr(x_b) per pair, so every float reads back exactly."""
+    with _opened(path_or_buffer, "w") as handle:
         handle.write("x_a,x_b\n")
-        for xa, xb in data.pairs:
-            handle.write(f"{float(xa)!r},{float(xb)!r}\n")
-    finally:
-        if close:
-            handle.close()
+        columns = np.asarray(data.pairs, dtype=float).T.tolist()
+        handle.writelines(map("{!r},{!r}\n".format, *columns))
 
 
 def load_samples_csv(path_or_buffer):
-    """Read a sample record written by save_samples_csv."""
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        with open(path_or_buffer, "r", encoding="ascii") as handle:
-            text = handle.read()
-    else:
-        text = path_or_buffer.read()
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "x_a,x_b":
-        raise ValueError("expected CSV header 'x_a,x_b'")
-    pairs = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
-    return SampleSet(pairs=pairs.reshape(-1, 2))
+    """Read a sample record written by save_samples_csv; raise ValueError
+    unless the header x_a,x_b precedes at least one line and every line holds
+    two finite floats."""
+    with _opened(path_or_buffer, "r") as handle:
+        if handle.readline().strip() != "x_a,x_b":
+            raise ValueError("expected CSV header 'x_a,x_b'")
+        first = handle.readline()
+        if not first.strip():
+            raise ValueError("sample record has no pair on the line after its header")
+        pairs = np.loadtxt(chain([first], handle), delimiter=",", comments=None, ndmin=2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"sample record rows must hold 2 fields, got {pairs.shape[1]}")
+    return SampleSet(pairs=_finite_pairs(pairs))

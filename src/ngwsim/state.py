@@ -179,24 +179,14 @@ class JointDensity:
     t: np.ndarray
     mean: np.ndarray
 
-    @property
-    def polyQ(self):
-        """Q of the equal form (u^T Q u + c) G_sigma(u): sigma^-1 t sigma^-1."""
-        sig_inv = np.linalg.inv(self.sigma)
-        return sig_inv @ self.t @ sig_inv
-
-    @property
-    def poly0(self):
-        """c of the equal form (u^T Q u + c) G_sigma(u): 1 - tr(sigma^-1 t)."""
-        return 1.0 - np.trace(np.linalg.solve(self.sigma, self.t))
-
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.mean
-        sig_inv = np.linalg.inv(self.sigma)
-        gauss = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, sig_inv, pts))
-        gauss /= 2.0 * np.pi * np.sqrt(np.linalg.det(self.sigma))
-        quad = np.einsum("ni,ij,nj->n", pts, self.polyQ, pts) + self.poly0
-        return quad * gauss
+        """(c + sum_k d_k v_k^2) phi(v) / |det M| at y = mean + M v, from the
+        eigenframe, with c = 1 - sum_k d_k and phi the standard normal."""
+        d, frame, frame_inv = self.eigenframe()
+        v = (np.atleast_2d(np.asarray(points, dtype=float)) - self.mean) @ frame_inv.T
+        v *= v
+        gauss = np.exp(-0.5 * v.sum(axis=1)) / (2.0 * np.pi * abs(np.linalg.det(frame)))
+        return (1.0 - d.sum() + v @ d) * gauss
 
     def grid(self, xs, ys):
         """Density evaluated on the outer grid of two 1-D arrays."""

@@ -568,11 +568,13 @@ def fi_central_difference(pdf_minus, pdf0, pdf_plus, step, rel_tol=1e-9, n_sigma
     from the central difference (pdf_plus - pdf_minus) / (2 step).
 
     The densities are callables on (N, 2) points; pdf0 also provides mean,
-    polyQ and covariance(). The integrand is integrated with integrate_panels
-    over +-n_sigma standard deviations in the eigenframe of pdf0's
-    polynomial, where near-nodal trenches are axis aligned.
+    sigma, t and covariance(). The integrand is integrated with
+    integrate_panels over +-n_sigma standard deviations in the eigenframe of
+    sigma^-1 t sigma^-1, the quadratic form of pdf0's polynomial, where
+    near-nodal trenches are axis aligned.
     """
-    _, frame = np.linalg.eigh(pdf0.polyQ)
+    sig_inv = np.linalg.inv(pdf0.sigma)
+    _, frame = np.linalg.eigh(sig_inv @ pdf0.t @ sig_inv)
     spread = np.sqrt(np.einsum("ij,jk,ik->i", frame.T, pdf0.covariance(), frame.T))
     half = n_sigma * spread
 

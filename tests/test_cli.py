@@ -197,6 +197,12 @@ class TestSampleEstimate:
         summary = dict(zip(header, rows[0]))
         assert float(summary["theory_e"]) == pytest.approx(2 * np.exp(0.4), abs=1e-4)
 
+    @pytest.mark.parametrize("bin_size", ["nan", "0"])
+    def test_estimate_rejects_bad_bin(self, tmp_path, capsys, bin_size):
+        assert run_cli("estimate", "--samples", 1000, "--reps", 1, "--bin", bin_size,
+                       "--out", tmp_path / "e") == 1
+        assert "bin size delta must be positive and finite" in capsys.readouterr().err
+
     def test_estimate_deterministic(self, tmp_path):
         args = ("estimate", "--ra", 0.2, "--rb", 0.2, "--samples", 30000,
                 "--reps", 2, "--bin", 0.2, "--seed", 5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from ngwsim import (
+    GeneratorSpec,
     NONLOCAL_SATURATING_BASIS,
     P_BASIS,
     QuadratureBasis,
@@ -20,8 +21,10 @@ from ngwsim import (
     default_half_range,
     default_theta_grid,
     displace_samples,
+    displacement_direction,
     estimate_fi,
     estimate_witness,
+    generator_variance,
     hellinger_sq,
     load_samples_csv,
     measurement_pdf,
@@ -32,7 +35,7 @@ from ngwsim import (
 )
 from ngwsim.estimator import _histogram, _mixture
 
-from oracles import binned_witness_reference
+from oracles import binned_witness_reference, grid_norm
 
 SPEC = StateSpec(0.2, 0.2)
 STATE = build_state(SPEC)
@@ -145,7 +148,7 @@ class TestMixture:
         density = measurement_pdf(state, basis)
         weights, axes = _mixture(density)
         assert weights.min() >= 0.0
-        assert abs(weights.sum() - 1.0) < 1e-12
+        assert abs(grid_norm(density, n=201) - 1.0) < 1e-8
         cov, m40, m22 = _mixture_moments(weights, axes)
         scale = np.abs(density.covariance()).max()
         np.testing.assert_allclose(cov, density.covariance(), rtol=0, atol=1e-12 * scale)
@@ -163,7 +166,7 @@ class TestMixture:
         density = measurement_pdf(STATE)
         scale = (1.0 + 1e-6) / np.trace(np.linalg.solve(density.sigma, density.t))
         bad = type(density)(sigma=density.sigma, t=scale * density.t, mean=density.mean)
-        assert abs(bad.poly0 + 1e-6) < 1e-15
+        assert abs(1.0 - np.trace(np.linalg.solve(bad.sigma, bad.t)) + 1e-6) < 1e-15
         with pytest.raises(ValueError):
             _mixture(bad)
 
@@ -385,6 +388,19 @@ class TestWitnessPipeline:
         est = estimate_witness(x_data, p_data, delta=0.2)
         assert 0 < est.e_value < 2 * np.exp(0.4)
 
+    def test_unbalanced_direction_weights_variances(self):
+        # at delta_axis 0.5 the generator is H = (d_A p_A + d_B p_B) / 2, so the
+        # subtracted term is d_A^2 Var p_A + d_B^2 Var p_B = 4 (Var H_A + Var H_B)
+        state = build_state(StateSpec(0.5, 0.1))
+        gen = GeneratorSpec("displacement", +1, 0.5)
+        x_data = sample(state, 200_000, seed=51)
+        p_data = sample(state, 200_000, seed=51, basis=P_BASIS, stream=1)
+        est = estimate_witness(x_data, p_data, delta=0.2, delta_axis=0.5)
+        weight_a, weight_b = displacement_direction(+1, 0.5) ** 2
+        se = math.hypot(weight_a * est.var_pa_err, weight_b * est.var_pb_err)
+        expected = 4 * (generator_variance(state, gen, "A") + generator_variance(state, gen, "B"))
+        assert abs(est.fit.f_corrected - est.e_value - expected) < 5 * se
+
 
 class TestReplicate:
     def test_deterministic_and_order_independent(self):
@@ -444,6 +460,39 @@ class TestCsv:
         loaded = load_samples_csv(buf)
         assert np.array_equal(loaded.pairs, record.pairs)
 
+    def test_roundtrip_through_path(self, tmp_path):
+        record = sample(STATE, 500, seed=14)
+        path = tmp_path / "samples.csv"
+        save_samples_csv(record, path)
+        first_pair = ",".join(map(repr, record.pairs[0].tolist()))
+        assert path.read_text().splitlines()[:2] == ["x_a,x_b", first_pair]
+        assert np.array_equal(load_samples_csv(path).pairs, record.pairs)
+        assert np.array_equal(load_samples_csv(str(path)).pairs, record.pairs)
+
+    def test_handle_left_open(self):
+        buf = io.StringIO()
+        save_samples_csv(sample(STATE, 3, seed=15), buf)
+        buf.seek(0)
+        load_samples_csv(buf)
+        assert not buf.closed
+
     def test_header_validated(self):
         with pytest.raises(ValueError):
             load_samples_csv(io.StringIO("a,b\n1.0,2.0\n"))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "x_a,x_b\n",
+        "x_a,x_b\n1.0\n2.0\n",
+        "x_a,x_b\n1,2,3\n4,5,6\n",
+        "x_a,x_b\n1.0,2.0\n3.0\n",
+        "x_a,x_b\n1.0,abc\n",
+        "x_a,x_b\n1.0,\n",
+        "x_a,x_b\n1.0,2.0\nnan,0.5\n",
+        "x_a,x_b\n1.0,inf\n",
+        "x_a,x_b\n-inf,1.0\n",
+    ], ids=["empty", "header-only", "one-field", "three-fields", "field-count-changes",
+            "non-numeric", "empty-field", "nan", "inf", "minus-inf"])
+    def test_malformed_record_rejected(self, text):
+        with pytest.raises(ValueError):
+            load_samples_csv(io.StringIO(text))

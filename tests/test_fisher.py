@@ -22,7 +22,7 @@ from ngwsim import (
 from ngwsim.estimator import _mixture
 from ngwsim.fisher import _measured_family_with_derivative
 
-from oracles import fi_central_difference, fi_lossy_symmetric_1d
+from oracles import fi_central_difference, fi_lossy_symmetric_1d, grid_norm
 from test_state import random_specs
 
 DISP = GeneratorSpec("displacement", +1)
@@ -181,11 +181,12 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(fi_cases(), st.floats(-1.0, 1.0))
     def test_evolved_density_nonnegative_normalized(self, case, theta):
-        # the mixture weights (c, d_1, d_2) of the whitened density: _mixture
-        # raises if one is below -1e-12, and they sum to its integral
+        # non-negative: _mixture raises if a weight (c, d_1, d_2) of the
+        # whitened density is below -1e-12; normalized: a trapezoid grid
         spec, basis, gen = case
-        weights, _ = _mixture(measurement_pdf(evolve(build_state(spec), gen, theta), basis))
-        assert abs(weights.sum() - 1.0) < 1e-12
+        density = measurement_pdf(evolve(build_state(spec), gen, theta), basis)
+        _mixture(density)
+        assert abs(grid_norm(density, n=201) - 1.0) < 1e-8
 
 
 class TestQfiPure:
