@@ -1,10 +1,6 @@
 """Metrological entanglement-witness simulator for two-mode photon-subtracted states."""
 
-from .errors import (
-    DegenerateStateError,
-    QuadratureConvergenceError,
-    UnphysicalCovarianceError,
-)
+from .errors import DegenerateStateError, UnphysicalCovarianceError
 from .estimator import (
     BinnedHistogram,
     HellingerFit,

@@ -10,6 +10,7 @@ carries the configuration hash and seed.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import os
 import sys
@@ -18,10 +19,9 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateStateError, QuadratureConvergenceError, UnphysicalCovarianceError
+from .errors import DegenerateStateError, UnphysicalCovarianceError
 from .estimator import bin_samples, default_theta_grid, replicate, sample, save_samples_csv
-from .fisher import (NONLOCAL_SATURATING_BASIS, angle_grid_scan, fi_continuous,
-                     optimize_angles, qfi_pure)
+from .fisher import NONLOCAL_SATURATING_BASIS, fi_continuous, optimize_angles, qfi_pure
 from .moments import GeneratorSpec, generator_variance
 from .state import QuadratureBasis, StateSpec, X_BASIS, apply_loss, build_state
 from .witness import (displacement_ridge_value, eq_displacement, eq_phase, eq_shear,
@@ -209,12 +209,12 @@ def _fi_witness(state, gen, basis=X_BASIS, theta0=0.0):
 
 def _angle_map(name, state, gen, step):
     """Table name of the FI map over local homodyne angles, and the map's
-    maximum as (FI, phi_a, phi_b)."""
-    angles, grid = angle_grid_scan(state, gen, step)
-    rows = [[pa, pb, grid[i, j]]
-            for i, pa in enumerate(angles) for j, pb in enumerate(angles)]
-    ia, ib = np.unravel_index(grid.argmax(), grid.shape)
-    return (name, ["phi_a", "phi_b", "fi"], rows), (grid.max(), angles[ia], angles[ib])
+    maximum as (FI, phi_a, phi_b), with optimize_angles' tie rule."""
+    scan = optimize_angles(state, gen, step, refine=False)
+    rows = [[pa, pb, scan.f_grid[i, j]]
+            for i, pa in enumerate(scan.angles) for j, pb in enumerate(scan.angles)]
+    best = (scan.f_grid_max, scan.grid_phi_a, scan.grid_phi_b)
+    return (name, ["phi_a", "phi_b", "fi"], rows), best
 
 
 def cmd_fi(args):
@@ -506,7 +506,10 @@ def cmd_reproduce(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process: parsing leaves it unchanged,
+    and building it costs as much as several FI values."""
     parser = argparse.ArgumentParser(
         prog="ngw-sim",
         description="Metrological entanglement-witness simulator for photon-subtracted states.",
@@ -601,8 +604,7 @@ def main(argv=None):
             flags = load_config_file(args.config, args.parser)
             args = args.parser.parse_args(flags + argv[1:])
         return args.func(args)
-    except (ValueError, OSError, DegenerateStateError, UnphysicalCovarianceError,
-            QuadratureConvergenceError) as exc:
+    except (ValueError, OSError, DegenerateStateError, UnphysicalCovarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,10 +8,3 @@ class DegenerateStateError(ValueError):
 class UnphysicalCovarianceError(ValueError):
     """Covariance matrix violates the uncertainty bound."""
 
-
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance."""
-
-    def __init__(self, message, achieved_tol):
-        super().__init__(f"{message} (achieved relative tolerance {achieved_tol:.3e})")
-        self.achieved_tol = achieved_tol

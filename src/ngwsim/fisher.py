@@ -4,29 +4,22 @@ The measured joint density for any generator, parameter point and basis is a
 bivariate Gaussian plus its second derivatives, fixed by a pair (Sigma, T)
 that is linear in the state's (cov, t): Sigma = m cov m^T and T = m t m^T for
 the measured rows m of the total symplectic map. Their exact
-theta-derivatives follow from the product rule. In polar coordinates of the
-whitened eigenframe the radial integral of p (d log p / d theta)^2 is
-closed-form, so the only numerical step is a periodic 1-D integral over the
-angle.
+theta-derivatives follow from the product rule. In the whitened eigenframe a
+Laplace transform of 1/p leaves closed-form Gaussian moments, so the only
+numerical step is one fixed exp-sinh sum over the transform variable.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .moments import generator_total_variance
-from .quadrature import integrate_adaptive
 from .state import JointDensity, QuadratureBasis, X_BASIS
 
 NONLOCAL_SATURATING_BASIS = QuadratureBasis(0.0, np.pi / 2, -np.pi / 4)
 
-# agreement of two successive angular levels; the finer level's own error is
-# far smaller because the periodic rule converges geometrically
-_REL_TOL = 1e-10
-_LAGUERRE_T, _LAGUERRE_W = np.polynomial.laguerre.laggauss(80)
-_LAGUERRE_MOMENTS = _LAGUERRE_W[:, None] * (2.0 * _LAGUERRE_T[:, None]) ** np.arange(5)
-_E1_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21)]
+_DOUBLE_FACTORIAL = np.array([1.0, 1.0, 3.0, 15.0, 105.0])  # (2i - 1)!!
 
 
 def _measured_family_with_derivative(state, gen, basis, theta0):
@@ -46,42 +39,18 @@ def _measured_family_with_derivative(state, gen, basis, theta0):
     return density, (d_sigma + d_sigma.T, d_t + d_t.T, dm @ state.mean + rows @ d_shift)
 
 
-def _radial_integrals(a, c):
-    """I[:, m] = integral over rho >= 0 of rho^(2m+1) e^(-rho^2/2) / (a rho^2 + c)
-    for m = 0..4 at every a >= 0 (c >= 0 is a scalar).
-
-    With t = rho^2 / 2 and s = c / 2a, I_m = 2^m J_m(s) / 2a where
-    J_m(s) = integral of t^m e^(-t) / (t + s) over t >= 0: Gauss-Laguerre for
-    s > 1 (a = 0 included), else the upward recursion
-    J_m = (m - 1)! - s J_(m-1) from J_0 = e^s E_1(s), which is stable there.
-    J_0 diverges at c = 0, where its coefficient vanishes; I[:, 0] is 0 there.
-    """
-    out = np.empty((len(a), 5))
-    wide = c > 2.0 * a
-    out[wide] = (1.0 / (2.0 * a[wide, None] * _LAGUERRE_T + c)) @ _LAGUERRE_MOMENTS
-    two_a = 2.0 * a[~wide]
-    s = c / two_a
-    # J_0 = e^s E_1(s) from the convergent series of E_1; unused at c = 0
-    j = (np.exp(s) * (np.polynomial.polynomial.polyval(s, _E1_SERIES) - np.euler_gamma - np.log(s))
-         if c > 0.0 else np.zeros_like(s))
-    out[~wide, 0] = j / two_a
-    for m in range(1, 5):
-        j = math.factorial(m - 1) - s * j
-        out[~wide, m] = 2.0**m * j / two_a
-    return out
-
-
-def _polar_integrand(density, derivs):
-    """FI integrand over the mapped angle psi, its radial part in closed form.
+def _laplace_integrand(density, derivs):
+    """FI integrand over the Laplace variable s, the Gaussian moments in closed form.
 
     In the whitened eigenframe y - mean = M v of the measured density
     (JointDensity.eigenframe: M^-1 Sigma M^-T = 1, M^-1 T M^-T = diag(d)),
-    the density is (c + d_1 v_1^2 + d_2 v_2^2) phi(v) with c = 1 - d_1 - d_2,
-    and the integrand is N(rho, w)^2 e^(-rho^2/2) / (2 pi (A(w) rho^2 + c))
-    with A = d_1 cos^2 w + d_2 sin^2 w and N = (dp/dtheta) / gauss, a quartic
-    in rho. Odd powers of rho in N^2 cancel between w and w + pi. Nodes are
-    pulled toward w = 0 and pi, where A is smallest, by
-    w = atan2(kappa sin psi, cos psi).
+    the density is q(v) phi(v) with q = c + d_1 v_1^2 + d_2 v_2^2 and
+    c = 1 - d_1 - d_2, and dp/dtheta = N(v) phi(v) with N a quartic. Writing
+    1/q as the integral of e^(-s q) over s >= 0 turns the FI, the integral of
+    N^2 phi / q, into the integral over s of e^(-s c) times Gaussian moments
+    of N^2 with variances tau_k = 1 / (1 + 2 s d_k):
+    sum_ij C_ij (2i-1)!! (2j-1)!! tau_1^(i+1/2) tau_2^(j+1/2), where C_ij is
+    the v_1^(2i) v_2^(2j) coefficient of N^2; odd powers have zero moments.
     """
     d_sigma, d_t, d_mean = derivs
     d, _, m_inv = density.eigenframe()
@@ -91,7 +60,8 @@ def _polar_integrand(density, derivs):
     c, d_c = 1.0 - d.sum(), s_w.diagonal() @ d - np.trace(t_w)
     # Roundoff-level eigenvalues and c are zeroed. The density then vanishes on
     # a line (or at the centre); being >= 0 for every theta, so does its
-    # derivative, so P_kk and dc are zeroed too and N = 0 wherever p = 0.
+    # derivative, so P_kk and dc are zeroed too and N = 0 wherever p = 0. The
+    # coefficients that would not decay in s are then exactly zero.
     scale = max(d[1], c)
     flat = d < 1e-12 * scale
     d[flat] = 0.0
@@ -100,30 +70,39 @@ def _polar_integrand(density, derivs):
     r = 0.5 * s_w
     h = m_inv @ d_mean
     tr_r = -np.trace(r)
-    floor = max(d[0], c)
-    kappa = (floor / d[1]) ** 0.25 if 0.0 < floor < d[1] else 1.0
+    # n[i, j] is the v_1^i v_2^j coefficient of N = dc + c tr_r + ((c - 2d) o h).v
+    # + v^T (P + c R + tr_r D) v + (v^T D v)(h.v + v^T R v)
+    n = np.zeros((5, 9))
+    n[:3, :3] = _quadratic_table(d_c + c * tr_r, (c - 2.0 * d) * h,
+                                 p + c * r + tr_r * np.diag(d))
+    tail = _quadratic_table(0.0, h, r)
+    n[2:, :3] += d[0] * tail
+    n[:3, 2:5] += d[1] * tail
+    # with the rows flattened at stride 9 the powers of v_2 never carry into
+    # v_1, so one 1-D convolution squares the bivariate polynomial
+    square = np.convolve(n.ravel(), n.ravel())[:81].reshape(9, 9)
+    moments = square[::2, ::2] * _DOUBLE_FACTORIAL[:, None] * _DOUBLE_FACTORIAL
 
-    def integrand(psi):
-        e = np.array([np.cos(psi), kappa * np.sin(psi)])
-        norm_sq = np.sum(e * e, axis=0)
-        e /= np.sqrt(norm_sq)
-        a = d @ (e * e)
-        e_h, e_r = h @ e, np.einsum("in,ij,jn->n", e, r, e)
-        coef = [np.full_like(a, d_c + c * tr_r), (c - 2.0 * d) * h @ e,
-                np.einsum("in,ij,jn->n", e, p, e) + c * e_r + a * tr_r, a * e_h, a * e_r]
-        # even coefficients of N^2; the odd ones cancel over the circle
-        even = [sum(coef[i] * coef[2 * m - i] for i in range(max(0, 2 * m - 4), min(2 * m, 4) + 1))
-                for m in range(5)]
-        # dw/dpsi = kappa / (cos^2 psi + kappa^2 sin^2 psi)
-        return np.einsum("mn,nm->n", even, _radial_integrals(a, c)) * kappa / (2 * np.pi * norm_sq)
+    def integrand(s):
+        tau = 1.0 / (1.0 + 2.0 * s[:, None] * d)
+        powers = np.sqrt(tau)[:, :, None] * tau[:, :, None] ** np.arange(5)
+        return np.exp(-s * c) * np.einsum("ni,ij,nj->n", powers[:, 0], moments, powers[:, 1])
 
     return integrand
+
+
+def _quadratic_table(constant, linear, quadratic):
+    """3 x 3 table of the v_1^i v_2^j coefficients of
+    constant + linear.v + v^T quadratic v."""
+    return np.array([[constant, linear[1], quadratic[1, 1]],
+                     [linear[0], 2.0 * quadratic[0, 1], 0.0],
+                     [quadratic[0, 0], 0.0, 0.0]])
 
 
 def fi_continuous(state, gen, basis=X_BASIS, theta0=0.0):
     """Fisher information of the measured joint density at theta0."""
     density, derivs = _measured_family_with_derivative(state, gen, basis, theta0)
-    value, _err = integrate_adaptive(_polar_integrand(density, derivs), rel_tol=_REL_TOL)
+    value, _err = quadrature.integrate_adaptive(_laplace_integrand(density, derivs))
     return value
 
 

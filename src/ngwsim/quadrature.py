@@ -1,39 +1,32 @@
-"""Midpoint rule for smooth 2 pi-periodic integrands, refined by tripling.
+"""Fixed exp-sinh rule for smooth integrands on (0, inf).
 
-For a periodic analytic integrand the midpoint (equivalently trapezoid) rule
-converges geometrically in the node count (Trefethen & Weideman, SIAM Rev.
-56, 385 (2014)), so the difference of two successive levels is a pessimistic
-error estimate for the finer one. Tripling keeps every earlier node, so each
-level evaluates only the new ones; every level has an even node count, so no
-node lands on 0 or pi. The integrand takes a 1-D array of angles.
+The substitution s = exp(pi/2 sinh t) turns an integrand that is smooth and
+bounded on (0, inf) and decays algebraically as s -> inf into one that decays
+double-exponentially in t, so the trapezoid rule in t converges geometrically
+in 1/h (Mori & Sugihara, J. Comput. Appl. Math. 127, 287 (2001)). With step
+h = 0.025 over |t| <= 4.5 the 361 nodes span s from about 1e-31 to 1e31, so
+an s^(-3/2) tail is cut off near 1e-15 of its integral. The integrand takes a
+1-D array of nodes.
 """
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError
+_STEP = 0.025
+_T = _STEP * np.arange(-180, 181)
+NODES = np.exp(0.5 * np.pi * np.sinh(_T))
+WEIGHTS = _STEP * 0.5 * np.pi * np.cosh(_T) * NODES
+NODES.flags.writeable = False
+WEIGHTS.flags.writeable = False
 
 
-def integrate_adaptive(f, rel_tol=1e-10, max_nodes=2 * 3**10):
-    """Integrate the 2 pi-periodic f over one period, from 18 nodes, until two
-    successive levels agree to rel_tol. Returns (value, error_estimate).
+def integrate_adaptive(f):
+    """Integrate f over (0, inf) on the fixed nodes. Returns (value, error_estimate).
 
-    Raises QuadratureConvergenceError if the next level would exceed
-    max_nodes first.
+    f is evaluated once, on all 361 nodes; the error estimate is the
+    difference from the rule of step 2h on the even-indexed nodes. The rule
+    has no tolerance and no refinement: the name is kept from an earlier
+    adaptive rule because callers and profiling spans refer to it.
     """
-    n, total, value = 18, 0.0, np.inf
-    nodes = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    while True:
-        total += float(np.sum(f(nodes)))
-        coarse, value = value, 2.0 * np.pi * total / n
-        err = abs(value - coarse)  # infinite on the first level
-        if err <= rel_tol * max(abs(value), 1e-12):
-            return value, err
-        if 3 * n > max_nodes:
-            raise QuadratureConvergenceError(
-                "periodic quadrature did not converge",
-                achieved_tol=err / max(abs(value), 1e-12),
-            )
-        # the nodes (k + 1/2) h of this level are the centres of triples of the next
-        old = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        offset = 2.0 * np.pi / (3 * n)
-        nodes, n = np.concatenate([old - offset, old + offset]), 3 * n
+    terms = WEIGHTS * f(NODES)
+    value = float(np.sum(terms))
+    return value, abs(value - 2.0 * float(np.sum(terms[::2])))

@@ -5,10 +5,11 @@ come either from the position wavefunction (analytic Gaussian integrals of
 polynomial products, using p -> -2i d/dx) or from trapezoid quadrature of the
 measured densities; the reference covariance comes from the noisy-projector
 construction; the lossy Fisher information has a one-dimensional rotated-mode
-oracle. The binned displaced family is integrated cell by cell from a density
-callable. Lossy states of any squeezing pair come from a truncated Fock-space
-density matrix (squeezed-vacuum amplitudes, photon subtraction, pure-loss Kraus
-operators), which gives homodyne Fisher information through Hermite functions,
+oracle, by trapezoid quadrature and in closed form. The binned displaced
+family is integrated cell by cell from a density callable. Lossy states of
+any squeezing pair come from a truncated Fock-space density matrix
+(squeezed-vacuum amplitudes, photon subtraction, pure-loss Kraus operators),
+which gives homodyne Fisher information through Hermite functions,
 the mixed-state quantum Fisher information and the generator variances. The
 Fisher information of any family of measured densities comes from central
 differences of three density callables, integrated by adaptive 2-D
@@ -173,6 +174,23 @@ def fi_lossy_symmetric_1d(r, eta, n=400001, half=14.0):
     f /= norm
     fp = (2.0 * u - weight * u / sigma_sq) * np.exp(-(u**2) / (2.0 * sigma_sq)) / norm
     return 2.0 * np.trapezoid(fp**2 / f, u)
+
+
+def fi_lossy_symmetric_exact(r, eta):
+    """fi_lossy_symmetric_1d in closed form.
+
+    In u the density is proportional to (floor + u^2) g(u) with
+    g = e^(-u^2 / 2 sigma^2), and (p_u')^2 / p_u = u^2 (2 - (floor + u^2) /
+    sigma^2)^2 g / (Z (floor + u^2)) with Z = sqrt(2 pi) sigma (floor + sigma^2).
+    Every term is a Gaussian moment except the integral of g / (floor + u^2),
+    which is (pi / sqrt(floor)) e^a erfc(sqrt(a)) with a = floor / 2 sigma^2.
+    """
+    sigma_sq = (1.0 - eta) * math.exp(-2.0 * r) + eta
+    floor = eta * math.exp(2.0 * r) * sigma_sq / (1.0 - eta)
+    a = floor / (2.0 * sigma_sq)
+    # floor times the integral of g / (floor + u^2), divided by sqrt(2 pi) sigma
+    floor_k = math.sqrt(a * math.pi) * math.exp(a) * math.erfc(math.sqrt(a))
+    return 2.0 * (floor / sigma_sq + 3.0 - 4.0 * floor_k) / (floor + sigma_sq)
 
 
 def hellinger_sq_exact(density_a, density_b, n=1201, n_sigma=10.0):
@@ -482,10 +500,11 @@ def fock_displacement_fi(rho, sign):
 
 # --- adaptive 2-D quadrature and finite-difference Fisher information ----------
 #
-# The package integrates the Fisher information along rays in closed form and
-# over the angle with a periodic rule, from exact parameter derivatives. The
-# reference here integrates the central-difference integrand of three density
-# callables over a box with adaptive tensor Gauss-Legendre panels.
+# The package integrates the Fisher information from exact parameter
+# derivatives, through closed-form Gaussian moments and one fixed exp-sinh sum
+# over a Laplace variable. The reference here integrates the central-difference
+# integrand of three density callables over a box with adaptive tensor
+# Gauss-Legendre panels.
 
 PANEL_ORDERS = (15, 7)
 _PANEL_NODES = {order: np.polynomial.legendre.leggauss(order) for order in PANEL_ORDERS}

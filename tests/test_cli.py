@@ -164,6 +164,14 @@ class TestFi:
         assert header[:3] == ["phi_a", "phi_b", "fi"]
         assert len(rows) == 16
 
+    def test_fi_angles_maximum_breaks_ties_like_optimize_angles(self, tmp_path, capsys):
+        # the phase map has four maxima equal to roundoff; the printed one is
+        # the lexicographically smallest pair, grid point (2, 17)
+        assert run_cli("fi-angles", "--gen", "phase", "--ra", 0.2, "--rb", 0.2, "--sign", "-",
+                       "--step", np.pi / 20, "--out", tmp_path) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "max FI = 4.0490 at phi_a = 0.3142, phi_b = 2.6704"
+
 
 class TestSampleEstimate:
     def test_sample_csv_and_manifest(self, tmp_path):

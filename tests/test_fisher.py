@@ -20,9 +20,10 @@ from ngwsim import (
     saturation_check,
 )
 from ngwsim.estimator import _mixture
-from ngwsim.fisher import _measured_family_with_derivative
+from ngwsim.fisher import _laplace_integrand, _measured_family_with_derivative
 
-from oracles import fi_central_difference, fi_lossy_symmetric_1d, grid_norm
+from oracles import (fi_central_difference, fi_lossy_symmetric_1d, fi_lossy_symmetric_exact,
+                     grid_norm)
 from test_state import random_specs
 
 DISP = GeneratorSpec("displacement", +1)
@@ -69,9 +70,17 @@ class TestDisplacementFI:
         fi = fi_continuous(state, DISP)
         assert abs(fi - fi_lossy_symmetric_1d(r, eta)) < 1e-6
 
+    @pytest.mark.parametrize("eta", [1e-12, 1e-10, 1e-8, 1e-4])
+    def test_near_pure_lossy_value_matches_exact_oracle(self, eta):
+        # the whitened density is nearly rank one; the deviation, 2.9e-10 at
+        # eta = 1e-12, scales like the roundoff of c = 1 - d_1 - d_2 over sqrt(c)
+        state = apply_loss(build_state(StateSpec(0.2, 0.2)), eta)
+        reference = fi_lossy_symmetric_exact(0.2, eta)
+        assert abs(fi_continuous(state, DISP) / reference - 1.0) < 1e-9
+
 
 class TestDerivativePaths:
-    """fi_continuous (exact derivatives, polar quadrature) against the
+    """fi_continuous (exact derivatives, Laplace-transform rule) against the
     central-difference FI integrated by the 2-D panel oracle."""
 
     @pytest.mark.parametrize("kind,sign,basis", [
@@ -114,6 +123,29 @@ class TestDerivativePaths:
         # the generator maps and their theta-derivatives at theta0 != 0
         self.test_matches_panel_oracle(kind, sign, spec, 1e-3, QuadratureBasis(0.41, 2.73),
                                        theta0=0.3)
+
+
+class TestNearRankOne:
+    """The fixed rule against a finer exp-sinh sum (h = 0.01, |t| <= 5) of the
+    same integrand, on densities whose whitened form is (nearly) rank one:
+    pure states in and near the x-x basis and states with tiny loss."""
+
+    T_FINE = 0.01 * np.arange(-500, 501)
+    S_FINE = np.exp(0.5 * np.pi * np.sinh(T_FINE))
+    W_FINE = 0.01 * 0.5 * np.pi * np.cosh(T_FINE) * S_FINE
+
+    @pytest.mark.parametrize("r_a,r_b", [(0.2, 0.2), (0.5, -0.3), (-0.4, 0.1)])
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, 1e-10, 1e-8])
+    def test_fixed_rule_matches_fine_rule(self, r_a, r_b, eta):
+        state = build_state(StateSpec(r_a, r_b, eta=eta))
+        for gen in (DISP, GeneratorSpec("phase", -1), GeneratorSpec("shear", -1),
+                    GeneratorSpec("squeeze", +1)):
+            for basis in (X_BASIS, QuadratureBasis(1e-7, 0.0), QuadratureBasis(0.0, 1e-6),
+                          QuadratureBasis(0.3, 1.2), NONLOCAL_SATURATING_BASIS):
+                family = _measured_family_with_derivative(state, gen, basis, 0.0)
+                fine = self.W_FINE @ _laplace_integrand(*family)(self.S_FINE)
+                value = fi_continuous(state, gen, basis)
+                assert abs(value - fine) <= 1e-12 * max(abs(fine), 1e-8), (gen, basis)
 
 
 _BASE_SPEC = StateSpec(0.3, -0.2, 0.7)

@@ -19,6 +19,8 @@ from oracles import (
     PanelBudgetError,
     binned_hellinger_curvature,
     fi_binned,
+    fi_lossy_symmetric_1d,
+    fi_lossy_symmetric_exact,
     fock_density,
     fock_displacement_fi,
     fock_displacement_qfi,
@@ -143,3 +145,12 @@ class TestPanelQuadrature:
         with pytest.raises(PanelBudgetError) as err:
             integrate_panels(oscillatory, (-10, 10, -10, 10), rel_tol=1e-10, max_panels=20)
         assert err.value.achieved_tol > 1e-10
+
+
+class TestLossyRotatedModeOracle:
+    @pytest.mark.parametrize("r,eta", [(0.2, 0.1), (0.5, 0.3), (-0.3, 0.9)])
+    def test_closed_form_matches_trapezoid(self, r, eta):
+        assert abs(fi_lossy_symmetric_exact(r, eta) / fi_lossy_symmetric_1d(r, eta) - 1.0) < 1e-12
+
+    def test_lossless_limit(self):
+        assert abs(fi_lossy_symmetric_exact(0.2, 0.0) - F_CONTINUOUS) < 1e-13
