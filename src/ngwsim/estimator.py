@@ -9,6 +9,7 @@ Philox generator, so replicate streams are splittable and order-independent.
 """
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -64,23 +65,44 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     Exact mixture sampling (see _mixture): every pair starts as a standard
     normal in the eigenframe; pairs drawn into an axis component get that
     coordinate z replaced by sign(z) sqrt(z^2 + 2E), E ~ Exp(1), which is
-    chi-3 distributed with a random sign. Deterministic for a given
-    (seed, stream) pair, where nonzero streams select jumped Philox
+    chi-3 distributed with a random sign. The draws come in a fixed order
+    (m normal pairs, m uniforms choosing the components, one exponential per
+    axis-component pair in record order), so the record is deterministic for
+    a given (seed, stream) pair, where nonzero streams select jumped Philox
     substreams. No draw is rejected, so the acceptance rate is exactly 1.
+    m must be an integer of at least 1; anything else raises ValueError.
     """
+    if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"sample count must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("sample count must be at least 1")
     density = measurement_pdf(state, basis)
     weights, axes = _mixture(density)
     rng = _rng_for(seed, stream)
     v = rng.standard_normal((m, 2))
-    comp = np.searchsorted(np.cumsum(weights)[:2], rng.random(m), side="right")
-    rows = np.flatnonzero(comp)
-    cols = comp[rows] - 1
-    z = v[rows, cols]
-    v[rows, cols] = np.copysign(np.sqrt(z * z + 2.0 * rng.standard_exponential(rows.size)), z)
+    u = rng.random(m)
+    # uniforms below c keep the normal pair; the rest pick axis 1 below
+    # c + d_1 and axis 2 above, as flat indices 2 row + axis into v
+    flat = np.flatnonzero(u >= weights[0])
+    axis = u[flat] >= weights[0] + weights[1]
+    del u
+    flat *= 2
+    flat += axis
+    del axis
+    v_flat = v.reshape(-1)
+    z = v_flat[flat]
+    chi = rng.standard_exponential(flat.size)
+    chi *= 2.0
+    chi += z * z
+    np.sqrt(chi, out=chi)
+    np.copysign(chi, z, out=chi)
+    v_flat[flat] = chi
+    # the output matmul sets the peak memory: free the temporaries first
+    del flat, z, chi
+    pairs = v @ axes.T
+    pairs += density.mean
     return SampleSet(
-        pairs=v @ axes.T + density.mean,
+        pairs=pairs,
         seed=seed,
         spec=spec,
         basis=basis,
@@ -122,30 +144,97 @@ def _finite_pairs(data):
     return pairs
 
 
-def _histogram(columns, shift, delta, half_range, n_bins):
-    """Histogram of the pairs (columns[0] - shift[0], columns[1] - shift[1]),
-    counted in one np.bincount pass over flat cell indices.
+def _flat_cells(columns, shift, delta, half_range, side, positions=None):
+    """Flat indices into the padded (side, side) table of the pairs
+    (columns[0] - shift[0], columns[1] - shift[1]).
 
-    Along each axis the cell is floor((x - shift + half_range) / delta) + 1,
-    clipped to [0, n_bins + 1]: the border rows and columns of the padded
-    table collect the pairs outside the grid. The floating-point steps are
-    those of binning a shifted copy, so both give the same counts.
+    Along each axis the cell is floor(((x - shift) + half_range) / delta) + 1,
+    clipped to [0, side - 1]: the border rows and columns collect the pairs
+    outside the grid. The floating-point steps are those of binning a shifted
+    copy, so both give the same cells. A list passed as positions receives,
+    per axis, each pair's position within its cell in units of delta.
     """
-    side = n_bins + 2
-    flat = 0
+    flat = None
     for x, s in zip(columns, shift):
         t = x - s
         t += half_range
         t /= delta
-        np.floor(t, out=t)
-        t += 1.0
-        np.clip(t, 0.0, side - 1.0, out=t)
-        flat = flat * side + t.astype(np.intp)
-    padded = np.bincount(flat, minlength=side * side).reshape(side, side)
+        if positions is None:
+            cell = np.floor(t, out=t)
+        else:
+            cell = np.floor(t)
+            t -= cell
+            positions.append(t)
+        np.clip(cell, -1.0, side - 2.0, out=cell)
+        if flat is None:
+            flat = cell
+        else:
+            flat *= side
+            flat += cell
+    flat += side + 1.0
+    return flat.astype(np.intp)
+
+
+def _table(padded, n_pairs, delta, half_range):
+    """BinnedHistogram of a padded (side, side) count table of n_pairs pairs."""
     counts = np.ascontiguousarray(padded[1:-1, 1:-1])
     total = int(counts.sum())
     return BinnedHistogram(delta=float(delta), half_range=float(half_range), counts=counts,
-                           total=total, dropped=len(flat) - total)
+                           total=total, dropped=n_pairs - total)
+
+
+def _histogram(columns, shift, delta, half_range, n_bins):
+    """Histogram of the pairs (columns[0] - shift[0], columns[1] - shift[1]),
+    counted in one np.bincount pass over the cells of _flat_cells."""
+    side = n_bins + 2
+    flat = _flat_cells(columns, shift, delta, half_range, side)
+    return _table(np.bincount(flat, minlength=side * side).reshape(side, side),
+                  flat.size, delta, half_range)
+
+
+def _displaced_histograms(probe, thetas, direction, delta, half_range, n_bins):
+    """Histograms of the probe pairs (columns) as they are and displaced by
+    -theta * direction for each theta, re-binning only pairs a shift can move.
+
+    One pass per axis gives each pair's cell and its position within it.
+    Every theta of one sign moves a coordinate toward the same cell edge, by
+    at most reach = max |theta d_k| / delta (+1e-9, far above the roundoff
+    of a position inside the grid; pairs farther out stay clipped to the
+    border). A pair farther than reach from that edge on both axes keeps its
+    cell, so only the other pairs are binned again, with the exact steps of
+    _flat_cells, and their counts replace their unshifted ones. When a shift
+    reaches a whole cell every pair is binned again and nothing is gathered.
+
+    Returns the unshifted histogram and an iterator over (k, histogram of
+    the pairs displaced by thetas[k]).
+    """
+    side = n_bins + 2
+    n_pairs = probe.shape[1]
+    positions = []
+    flat0 = _flat_cells(probe, (0.0, 0.0), delta, half_range, side, positions)
+    table0 = np.bincount(flat0, minlength=side * side)
+
+    def displaced():
+        for group in (np.flatnonzero(thetas >= 0.0), np.flatnonzero(thetas < 0.0)):
+            if group.size == 0:
+                continue
+            shifts = np.outer(thetas[group], direction)
+            reach = np.abs(shifts).max(axis=0) / delta + 1e-9
+            if reach.max() >= 1.0:
+                columns, rest = probe, 0
+            else:
+                near = np.zeros(n_pairs, dtype=bool)
+                for pos, toward_lower, r in zip(positions, shifts.sum(axis=0) > 0.0, reach):
+                    near |= pos < r if toward_lower else pos > 1.0 - r
+                near = np.flatnonzero(near)
+                columns = probe.take(near, axis=1)
+                rest = table0 - np.bincount(flat0.take(near), minlength=side * side)
+            for k, shift in zip(group, shifts):
+                flat = _flat_cells(columns, shift, delta, half_range, side)
+                padded = rest + np.bincount(flat, minlength=side * side)
+                yield k, _table(padded.reshape(side, side), n_pairs, delta, half_range)
+
+    return _table(table0.reshape(side, side), n_pairs, delta, half_range), displaced()
 
 
 def _check_bin_size(delta):
@@ -181,12 +270,20 @@ def hellinger_sq(ref, probe):
     if (ref.delta != probe.delta or ref.half_range != probe.half_range
             or ref.counts.shape != probe.counts.shape):
         raise ValueError("histograms must share the same binning geometry")
-    diff = np.sqrt(ref.frequencies()) - np.sqrt(probe.frequencies())
-    return 0.5 * float(np.sum(diff * diff))
+    return _hellinger_sq(np.sqrt(ref.frequencies()), probe)
+
+
+def _hellinger_sq(root_ref, probe):
+    """hellinger_sq with the reference's square-root frequencies given."""
+    diff = root_ref - np.sqrt(probe.frequencies())
+    diff *= diff
+    return 0.5 * float(np.sum(diff))
 
 
 def default_theta_grid(theta_max=0.05, steps=20):
     """Symmetric displacement grid excluding zero (20 points by default)."""
+    if not (np.isfinite(theta_max) and theta_max > 0.0):
+        raise ValueError(f"theta grid needs a positive finite theta_max, got {theta_max!r}")
     if steps < 4 or steps % 2:
         raise ValueError("steps must be an even number >= 4")
     half = steps // 2
@@ -220,7 +317,9 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     the reference, the second half is displaced by each theta, binned, and the
     squared Hellinger distance is fit against c0 + a theta^2. The curvature
     gives F_raw = 8 a and the bias-corrected value
-    F = a / (1/8 + (1 + n)/(32 (M/2))) with n the occupied-bin count.
+    F = a / (1/8 + (1 + n)/(32 (M/2))) with n the occupied-bin count. The
+    displaced halves are binned by _displaced_histograms. A grid needs at
+    least 4 finite points and two distinct |theta|.
     """
     if theta_grid is None:
         theta_grid = default_theta_grid()
@@ -229,6 +328,7 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
         raise ValueError("need at least 4 theta points for the parabola fit")
     if not np.isfinite(theta_grid).all():
         raise ValueError("theta grid must be finite")
+    _check_distinct_squares(theta_grid)
     pairs = data.pairs
     m_half = len(pairs) // 2
     if m_half < 1:
@@ -237,16 +337,17 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     if half_range is None:
         half_range = default_half_range(pairs, delta)
     ref = bin_samples(pairs[:m_half], delta, half_range)
-    probe0 = bin_samples(pairs[m_half:2 * m_half], delta, half_range)
+    probe = np.ascontiguousarray(_finite_pairs(pairs[m_half:2 * m_half]).T)
+    direction = displacement_direction(sign, delta_axis)
+    probe0, displaced = _displaced_histograms(probe, theta_grid, direction, delta,
+                                              half_range, ref.n_bins)
     if ref.total == 0 or probe0.total == 0:
         raise ValueError("all samples fell outside the binning range")
     n_occ = int(np.count_nonzero((ref.counts > 0) | (probe0.counts > 0)))
-    probe = np.ascontiguousarray(pairs[m_half:2 * m_half].T)
-    direction = displacement_direction(sign, delta_axis)
+    root_ref = np.sqrt(ref.frequencies())
     d2 = np.empty(theta_grid.size)
-    for k, theta in enumerate(theta_grid):
-        shifted = _histogram(probe, theta * direction, delta, half_range, ref.n_bins)
-        d2[k] = hellinger_sq(ref, shifted)
+    for k, shifted in displaced:
+        d2[k] = _hellinger_sq(root_ref, shifted)
     c0_hat, a_hat, se_c0, se_a = parabola_fit(theta_grid, d2)
     corr = 1.0 / 8.0 + (1.0 + n_occ) / (32.0 * m_half)
     return HellingerFit(
@@ -265,13 +366,21 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     )
 
 
+def _check_distinct_squares(thetas):
+    # one distinct theta^2 leaves the fit's normal matrix singular
+    if np.unique(thetas * thetas).size < 2:
+        raise ValueError("theta grid needs at least two distinct |theta| for the parabola fit")
+
+
 def parabola_fit(thetas, d2):
     """Unweighted least squares of d2 on {1, theta^2} with free intercept.
 
     Returns (c0, a, se_c0, se_a) with standard errors from the residuals.
+    Fewer than two distinct theta^2 raise ValueError.
     """
     thetas = np.asarray(thetas, dtype=float)
     d2 = np.asarray(d2, dtype=float)
+    _check_distinct_squares(thetas)
     design = np.column_stack([np.ones_like(thetas), thetas**2])
     coef, *_ = np.linalg.lstsq(design, d2, rcond=None)
     resid = d2 - design @ coef
@@ -283,11 +392,14 @@ def parabola_fit(thetas, d2):
 
 
 def _variance_with_error(values):
+    """Sample variance and its standard error from one centred pass; the
+    variance takes np.var's steps (ddof=1), so it equals np.var bit for bit."""
     n = len(values)
-    var = float(np.var(values, ddof=1))
     centered = values - values.mean()
     centered *= centered
-    m4 = float(np.mean(centered * centered))
+    var = float(centered.sum() / (n - 1))
+    centered *= centered
+    m4 = float(np.mean(centered))
     se_sq = (m4 - var**2 * (n - 3) / (n - 1)) / n
     return var, math.sqrt(max(se_sq, 0.0))
 

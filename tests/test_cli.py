@@ -211,6 +211,13 @@ class TestSampleEstimate:
                        "--out", tmp_path / "e") == 1
         assert "bin size delta must be positive and finite" in capsys.readouterr().err
 
+    def test_estimate_rejects_zero_theta_max(self, tmp_path, capsys):
+        assert run_cli("estimate", "--samples", 1000, "--reps", 1, "--theta-max", 0,
+                       "--out", tmp_path / "e") == 1
+        assert capsys.readouterr().err == \
+            "error: theta grid needs a positive finite theta_max, got 0.0\n"
+        assert not (tmp_path / "e").exists()
+
     def test_estimate_deterministic(self, tmp_path):
         args = ("estimate", "--ra", 0.2, "--rb", 0.2, "--samples", 30000,
                 "--reps", 2, "--bin", 0.2, "--seed", 5)

@@ -33,12 +33,31 @@ from ngwsim import (
     sample,
     save_samples_csv,
 )
-from ngwsim.estimator import _histogram, _mixture
+from ngwsim.estimator import _displaced_histograms, _histogram, _mixture
 
 from oracles import binned_witness_reference, grid_norm
 
 SPEC = StateSpec(0.2, 0.2)
 STATE = build_state(SPEC)
+LOSSY = apply_loss(build_state(StateSpec(0.3, -0.2, 0.6)), 0.3)
+
+
+def _searchsorted_sample(state, m, seed, basis, stream):
+    """The mixture draw written out with np.searchsorted over the cumulative
+    weights and (row, column) fancy indexing. It fixes the order of the
+    Philox draws: m normal pairs, m uniforms, then one exponential per
+    axis-component pair in record order."""
+    density = measurement_pdf(state, basis)
+    weights, axes = _mixture(density)
+    bitgen = np.random.Philox(seed)
+    rng = np.random.Generator(bitgen.jumped(stream) if stream else bitgen)
+    v = rng.standard_normal((m, 2))
+    comp = np.searchsorted(np.cumsum(weights)[:2], rng.random(m), side="right")
+    rows = np.flatnonzero(comp)
+    cols = comp[rows] - 1
+    z = v[rows, cols]
+    v[rows, cols] = np.copysign(np.sqrt(z * z + 2.0 * rng.standard_exponential(rows.size)), z)
+    return v @ axes.T + density.mean
 
 
 class TestSampling:
@@ -56,6 +75,30 @@ class TestSampling:
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):
             sample(STATE, 0, seed=1)
+
+    @pytest.mark.parametrize("m", [2.5, np.nan, 3.0, True, np.True_],
+                             ids=["fraction", "nan", "float", "bool", "numpy-bool"])
+    def test_non_integer_count_rejected(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            sample(STATE, m, seed=1)
+
+    def test_numpy_integer_count_accepted(self):
+        assert len(sample(STATE, np.int64(7), seed=1)) == 7
+        assert np.array_equal(sample(STATE, np.int32(7), seed=1).pairs,
+                              sample(STATE, 7, seed=1).pairs)
+
+    @pytest.mark.parametrize("state, basis", [
+        (STATE, X_BASIS),  # pure x-x: weight d_1 is 0
+        (LOSSY, X_BASIS),
+        (LOSSY, NONLOCAL_SATURATING_BASIS),  # all three weights above 0.05
+        (STATE, QuadratureBasis(0.3, 1.1, 0.2)),
+    ], ids=["pure-xx", "lossy", "lossy-nonlocal", "mixed-basis"])
+    @pytest.mark.parametrize("stream", [0, 5])
+    def test_stream_matches_searchsorted_reference(self, state, basis, stream):
+        for m in (1, 4_999):
+            record = sample(state, m, seed=17, basis=basis, stream=stream)
+            assert np.array_equal(record.pairs,
+                                  _searchsorted_sample(state, m, 17, basis, stream))
 
     def test_moments_match_theory(self):
         record = sample(STATE, 300_000, seed=7)
@@ -259,6 +302,30 @@ class TestBinning:
                 expected_d2.append(hellinger_sq(ref, copy))
             assert np.array_equal(fit.d2, expected_d2)
 
+    @pytest.mark.parametrize("delta, direction, grid", [
+        # shifts of up to 2.5 cells
+        (0.02, displacement_direction(+1, 0.0), default_theta_grid()),
+        # (sqrt 2, 0): the second axis never moves
+        (0.1, displacement_direction(+1, -np.pi / 4), default_theta_grid()),
+        (0.1, displacement_direction(-1, 0.0), default_theta_grid()),
+        (0.4, displacement_direction(+1, 0.3), [-0.04, -0.02, 0.0, 0.02, 0.04]),
+        (0.2, displacement_direction(-1, 0.2), [-0.01, 0.015, 0.03, 0.07]),
+    ], ids=["whole-cells", "zero-component", "sign-minus", "holds-zero", "asymmetric"])
+    def test_displaced_tables_equal_binned_shifted_copies(self, delta, direction, grid):
+        probe = sample(STATE, 20_000, seed=16).pairs
+        # on and past the border, and on cell edges
+        probe[:6] = [[-6.0, 0.0], [5.99, -6.0], [6.0, 0.1], [-6.01, 5.999],
+                     [6.03, -6.04], [0.0, 0.2]]
+        thetas = np.asarray(grid, dtype=float)
+        base, displaced = _displaced_histograms(np.ascontiguousarray(probe.T), thetas,
+                                                direction, delta, 6.0, int(round(12.0 / delta)))
+        _assert_same_table(base, bin_samples(probe, delta, 6.0))
+        seen = []
+        for k, hist in displaced:
+            _assert_same_table(hist, bin_samples(probe - thetas[k] * direction, delta, 6.0))
+            seen.append(k)
+        assert sorted(seen) == list(range(thetas.size))
+
     def test_default_half_range_multiple_of_delta(self):
         record = sample(STATE, 20_000, seed=3)
         for delta in (0.1, 0.2, 0.4):
@@ -267,6 +334,11 @@ class TestBinning:
             assert half >= 6 * record.pairs.std(axis=0).max() - delta
             spread = 6 * record.pairs.std(axis=0, ddof=1).max()
             assert half == math.ceil(spread / delta - 1e-9) * delta
+
+
+def _assert_same_table(hist, expected):
+    assert np.array_equal(hist.counts, expected.counts)
+    assert (hist.total, hist.dropped) == (expected.total, expected.dropped)
 
 
 class TestHellinger:
@@ -336,6 +408,15 @@ class TestParabolaFit:
         with pytest.raises(ValueError):
             default_theta_grid(steps=5)
 
+    @pytest.mark.parametrize("theta_max", [0.0, -0.05, np.nan, np.inf])
+    def test_default_grid_needs_positive_finite_theta_max(self, theta_max):
+        with pytest.raises(ValueError, match="theta_max"):
+            default_theta_grid(theta_max)
+
+    def test_one_distinct_abs_theta_rejected(self):
+        with pytest.raises(ValueError, match="two distinct"):
+            parabola_fit([0.01, -0.01, 0.01, -0.01], [1e-4, 2e-4, 1e-4, 3e-4])
+
 
 class TestEstimateFi:
     def test_requires_enough_grid_points(self):
@@ -347,6 +428,12 @@ class TestEstimateFi:
         record = sample(STATE, 1000, seed=1)
         with pytest.raises(ValueError, match="theta grid"):
             estimate_fi(record, theta_grid=[-0.02, -0.01, 0.01, np.nan])
+
+    def test_one_distinct_abs_theta_rejected(self):
+        # the fit's normal matrix would be singular
+        record = sample(STATE, 10_000, seed=1)
+        with pytest.raises(ValueError, match="two distinct"):
+            estimate_fi(record, theta_grid=[0.01, -0.01, 0.01, -0.01])
 
     def test_empty_range_rejected(self):
         record = SampleSet(pairs=np.full((100, 2), 50.0))
