@@ -126,6 +126,10 @@ def write_csv(path, columns, rows, cfg_hash, seed):
             handle.write(",".join([_fmt(v) for v in row] + [cfg_hash, str(seed)]) + "\n")
 
 
+# bytes per read when hashing an output: memory stays flat for any file size
+_HASH_READ = 1 << 16
+
+
 def write_manifest(path, command, entries, cfg_hash, outputs):
     lines = [
         f"tool = ngw-sim {__version__}",
@@ -135,9 +139,11 @@ def write_manifest(path, command, entries, cfg_hash, outputs):
     for key in sorted(entries):
         lines.append(f"{key} = {entries[key]}")
     for out in outputs:
+        digest = hashlib.sha256()
         with open(out, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        lines.append(f"output {os.path.basename(out)} sha256 = {digest}")
+            for chunk in iter(functools.partial(handle.read, _HASH_READ), b""):
+                digest.update(chunk)
+        lines.append(f"output {os.path.basename(out)} sha256 = {digest.hexdigest()}")
     with _atomic_open(path) as handle:
         handle.write("\n".join(lines) + "\n")
 

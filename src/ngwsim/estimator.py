@@ -35,6 +35,13 @@ class SampleSet:
         return len(self.pairs)
 
 
+# Rows per block of the sampler's uniform and exponential draws, of the
+# finiteness check and of the CSV writer. A block's temporaries stay near a
+# megabyte while the per-block overhead is negligible; blocks of 2^20 rows
+# bring back the memory peak of whole-record temporaries.
+BLOCK = 1 << 14
+
+
 def _rng_for(seed, stream=0):
     bitgen = np.random.Philox(seed)
     if stream:
@@ -59,6 +66,37 @@ def _mixture(density):
     return np.maximum(weights, 0.0), frame
 
 
+def _draw_components(rng, v, weights):
+    """Turn the (m, 2) standard normals v in place into draws of the mixture
+    with weights (c, d_1, d_2): m uniforms choose the components, then each
+    axis-component pair, in record order, takes one exponential. Both are
+    drawn BLOCK rows at a time, and only an int8 code per pair outlives a
+    block."""
+    m = len(v)
+    # 0 keeps the normal pair (uniform below c), 1 and 2 replace axis 1
+    # (below c + d_1) or axis 2 (above)
+    c, c_d1 = weights[0], weights[0] + weights[1]
+    code = np.empty(m, dtype=np.int8)
+    for s in range(0, m, BLOCK):
+        u = rng.random(min(BLOCK, m - s))
+        np.add(u >= c, u >= c_d1, out=code[s:s + BLOCK], dtype=np.int8)
+    v_flat = v.reshape(-1)
+    for s in range(0, m, BLOCK):
+        block = code[s:s + BLOCK]
+        rows = np.flatnonzero(block)
+        # flat index 2 row + axis into v of each axis-component pair
+        flat = 2 * rows
+        flat += block[rows]
+        flat += 2 * s - 1
+        z = v_flat[flat]
+        chi = rng.standard_exponential(flat.size)
+        chi *= 2.0
+        chi += z * z
+        np.sqrt(chi, out=chi)
+        np.copysign(chi, z, out=chi)
+        v_flat[flat] = chi
+
+
 def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     """Draw m i.i.d. outcomes from the measured joint density.
 
@@ -69,7 +107,10 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     (m normal pairs, m uniforms choosing the components, one exponential per
     axis-component pair in record order), so the record is deterministic for
     a given (seed, stream) pair, where nonzero streams select jumped Philox
-    substreams. No draw is rejected, so the acceptance rate is exactly 1.
+    substreams. Uniforms and exponentials are drawn BLOCK rows at a time;
+    Philox draws are sequential, so the blocks leave the stream unchanged and
+    the memory peak is the normals plus the output, about twice the record.
+    No draw is rejected, so the acceptance rate is exactly 1.
     m must be an integer of at least 1; anything else raises ValueError.
     """
     if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral):
@@ -80,25 +121,7 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     weights, axes = _mixture(density)
     rng = _rng_for(seed, stream)
     v = rng.standard_normal((m, 2))
-    u = rng.random(m)
-    # uniforms below c keep the normal pair; the rest pick axis 1 below
-    # c + d_1 and axis 2 above, as flat indices 2 row + axis into v
-    flat = np.flatnonzero(u >= weights[0])
-    axis = u[flat] >= weights[0] + weights[1]
-    del u
-    flat *= 2
-    flat += axis
-    del axis
-    v_flat = v.reshape(-1)
-    z = v_flat[flat]
-    chi = rng.standard_exponential(flat.size)
-    chi *= 2.0
-    chi += z * z
-    np.sqrt(chi, out=chi)
-    np.copysign(chi, z, out=chi)
-    v_flat[flat] = chi
-    # the output matmul sets the peak memory: free the temporaries first
-    del flat, z, chi
+    _draw_components(rng, v, weights)
     pairs = v @ axes.T
     pairs += density.mean
     return SampleSet(
@@ -139,32 +162,34 @@ class BinnedHistogram:
 
 def _finite_pairs(data):
     pairs = data.pairs if isinstance(data, SampleSet) else np.asarray(data)
-    if not np.isfinite(pairs).all():
+    # a block at a time: no mask the size of the record
+    if not all(np.isfinite(pairs[s:s + BLOCK]).all() for s in range(0, len(pairs), BLOCK)):
         raise ValueError("sample record holds non-finite pairs")
     return pairs
 
 
-def _flat_cells(columns, shift, delta, half_range, side, positions=None):
+def _flat_cells(columns, shift, delta, half_range, side, mark=None):
     """Flat indices into the padded (side, side) table of the pairs
     (columns[0] - shift[0], columns[1] - shift[1]).
 
     Along each axis the cell is floor(((x - shift) + half_range) / delta) + 1,
     clipped to [0, side - 1]: the border rows and columns collect the pairs
     outside the grid. The floating-point steps are those of binning a shifted
-    copy, so both give the same cells. A list passed as positions receives,
-    per axis, each pair's position within its cell in units of delta.
+    copy, so both give the same cells. A callable passed as mark is called as
+    mark(axis, positions) with each pair's position within its cell along
+    that axis, in units of delta.
     """
     flat = None
-    for x, s in zip(columns, shift):
+    for axis, (x, s) in enumerate(zip(columns, shift)):
         t = x - s
         t += half_range
         t /= delta
-        if positions is None:
+        if mark is None:
             cell = np.floor(t, out=t)
         else:
             cell = np.floor(t)
             t -= cell
-            positions.append(t)
+            mark(axis, t)
         np.clip(cell, -1.0, side - 2.0, out=cell)
         if flat is None:
             flat = cell
@@ -201,31 +226,39 @@ def _displaced_histograms(probe, thetas, direction, delta, half_range, n_bins):
     at most reach = max |theta d_k| / delta (+1e-9, far above the roundoff
     of a position inside the grid; pairs farther out stay clipped to the
     border). A pair farther than reach from that edge on both axes keeps its
-    cell, so only the other pairs are binned again, with the exact steps of
-    _flat_cells, and their counts replace their unshifted ones. When a shift
-    reaches a whole cell every pair is binned again and nothing is gathered.
+    cell. The unshifted pass marks the other pairs of each sign, so the
+    positions are never stored; only the marked pairs are binned again, with
+    the exact steps of _flat_cells, and their counts replace their unshifted
+    ones. When a shift reaches a whole cell every pair is binned again and
+    nothing is marked.
 
     Returns the unshifted histogram and an iterator over (k, histogram of
     the pairs displaced by thetas[k]).
     """
     side = n_bins + 2
     n_pairs = probe.shape[1]
-    positions = []
-    flat0 = _flat_cells(probe, (0.0, 0.0), delta, half_range, side, positions)
+    groups = []
+    for group in (np.flatnonzero(thetas >= 0.0), np.flatnonzero(thetas < 0.0)):
+        if group.size:
+            shifts = np.outer(thetas[group], direction)
+            reach = np.abs(shifts).max(axis=0) / delta + 1e-9
+            near = None if reach.max() >= 1.0 else np.zeros(n_pairs, dtype=bool)
+            groups.append((group, shifts, reach, shifts.sum(axis=0) > 0.0, near))
+
+    def mark_near(axis, pos):
+        for _, _, reach, toward_lower, near in groups:
+            if near is not None:
+                r = reach[axis]
+                near |= pos < r if toward_lower[axis] else pos > 1.0 - r
+
+    flat0 = _flat_cells(probe, (0.0, 0.0), delta, half_range, side, mark_near)
     table0 = np.bincount(flat0, minlength=side * side)
 
     def displaced():
-        for group in (np.flatnonzero(thetas >= 0.0), np.flatnonzero(thetas < 0.0)):
-            if group.size == 0:
-                continue
-            shifts = np.outer(thetas[group], direction)
-            reach = np.abs(shifts).max(axis=0) / delta + 1e-9
-            if reach.max() >= 1.0:
+        for group, shifts, _, _, near in groups:
+            if near is None:
                 columns, rest = probe, 0
             else:
-                near = np.zeros(n_pairs, dtype=bool)
-                for pos, toward_lower, r in zip(positions, shifts.sum(axis=0) > 0.0, reach):
-                    near |= pos < r if toward_lower else pos > 1.0 - r
                 near = np.flatnonzero(near)
                 columns = probe.take(near, axis=1)
                 rest = table0 - np.bincount(flat0.take(near), minlength=side * side)
@@ -513,11 +546,18 @@ def _opened(path_or_buffer, mode):
 
 def save_samples_csv(data, path_or_buffer):
     """Write a sample record as CSV: the header x_a,x_b, then one line
-    repr(x_a),repr(x_b) per pair, so every float reads back exactly."""
+    repr(x_a),repr(x_b) per pair, so every float reads back exactly. Rows are
+    formatted BLOCK at a time. A record load_samples_csv would refuse, one
+    that is not (m >= 1, 2) finite pairs, raises ValueError before anything
+    is written."""
+    pairs = np.asarray(data.pairs, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) < 1:
+        raise ValueError(f"sample record must hold (m >= 1, 2) pairs, got shape {pairs.shape}")
+    _finite_pairs(pairs)
     with _opened(path_or_buffer, "w") as handle:
         handle.write("x_a,x_b\n")
-        columns = np.asarray(data.pairs, dtype=float).T.tolist()
-        handle.writelines(map("{!r},{!r}\n".format, *columns))
+        for s in range(0, len(pairs), BLOCK):
+            handle.writelines(map("{!r},{!r}\n".format, *pairs[s:s + BLOCK].T.tolist()))
 
 
 def load_samples_csv(path_or_buffer):

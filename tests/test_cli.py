@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ngwsim.cli import main
+from ngwsim import SampleSet
+from ngwsim.cli import _HASH_READ, main, write_manifest
 
 
 def run_cli(*args):
@@ -194,6 +195,24 @@ class TestSampleEstimate:
         assert run_cli("sample", "--samples", 100, "--seed", 1, "--out", out) == 1
         assert "disk full" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    def test_unloadable_record_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        def non_finite(state, m, seed, spec=None):
+            return SampleSet(pairs=np.array([[0.1, np.nan]] * m), seed=seed, spec=spec)
+
+        monkeypatch.setattr("ngwsim.cli.sample", non_finite)
+        out = tmp_path / "s"
+        assert run_cli("sample", "--samples", 10, "--seed", 1, "--out", out) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_manifest_digest_of_file_larger_than_one_read(self, tmp_path):
+        data = bytes(range(256)) * (3 * _HASH_READ // 256) + b"tail"
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        write_manifest(tmp_path / "big.manifest", "sample", {}, "0" * 12, [path])
+        lines = (tmp_path / "big.manifest").read_text().splitlines()
+        assert lines[-1] == f"output big.bin sha256 = {hashlib.sha256(data).hexdigest()}"
 
     def test_estimate_outputs(self, tmp_path):
         out = tmp_path / "e"

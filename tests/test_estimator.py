@@ -33,7 +33,7 @@ from ngwsim import (
     sample,
     save_samples_csv,
 )
-from ngwsim.estimator import _displaced_histograms, _histogram, _mixture
+from ngwsim.estimator import BLOCK, _displaced_histograms, _histogram, _mixture
 
 from oracles import binned_witness_reference, grid_norm
 
@@ -95,7 +95,8 @@ class TestSampling:
     ], ids=["pure-xx", "lossy", "lossy-nonlocal", "mixed-basis"])
     @pytest.mark.parametrize("stream", [0, 5])
     def test_stream_matches_searchsorted_reference(self, state, basis, stream):
-        for m in (1, 4_999):
+        # the draws come in blocks of BLOCK rows: counts on and across their edges
+        for m in (1, 4_999, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
             record = sample(state, m, seed=17, basis=basis, stream=stream)
             assert np.array_equal(record.pairs,
                                   _searchsorted_sample(state, m, 17, basis, stream))
@@ -562,6 +563,37 @@ class TestCsv:
         buf.seek(0)
         load_samples_csv(buf)
         assert not buf.closed
+
+    @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_blocks_write_the_one_shot_bytes(self, m, tmp_path):
+        record = sample(LOSSY, m, seed=21)
+        expected = "x_a,x_b\n" + "".join("{!r},{!r}\n".format(*pair)
+                                         for pair in record.pairs.tolist())
+        buf = io.StringIO()
+        save_samples_csv(record, buf)
+        assert buf.getvalue() == expected
+        path = tmp_path / "samples.csv"
+        save_samples_csv(record, path)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("pairs", [
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        [[1.0, 2.0], [np.nan, 0.5]],
+        [[1.0, np.inf]],
+        [[-np.inf, 1.0]],
+        np.empty((0, 2)),
+        [1.0, 2.0],
+    ], ids=["three-columns", "nan", "inf", "minus-inf", "empty", "one-dimensional"])
+    def test_unloadable_record_rejected_before_writing(self, pairs, tmp_path):
+        record = SampleSet(pairs=np.asarray(pairs, dtype=float))
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            save_samples_csv(record, buf)
+        assert buf.getvalue() == ""
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ValueError):
+            save_samples_csv(record, path)
+        assert not path.exists()
 
     def test_header_validated(self):
         with pytest.raises(ValueError):

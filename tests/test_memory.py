@@ -1,0 +1,69 @@
+"""Memory bounds of the record path: sampling, writing and hashing.
+
+tracemalloc counts numpy's buffers and Python objects alike, so these peaks
+are exact byte counts, not resident-set readings. The bounds scale with the
+record: sampling holds the normals and the output, about twice the record;
+writing and hashing hold one block, not a copy of the record or the file.
+"""
+
+import os
+import tracemalloc
+
+import pytest
+
+from ngwsim import StateSpec, build_state, sample, save_samples_csv
+from ngwsim.cli import write_manifest
+
+M = 300_000
+STATE = build_state(StateSpec(0.2, 0.2, 0.1))
+
+
+@pytest.fixture
+def traced():
+    """Peak bytes a call allocates on top of what is live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+
+    def peak_of(fn):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+
+    try:
+        yield peak_of
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def record_csv(tmp_path_factory):
+    record = sample(STATE, M, seed=3)
+    path = tmp_path_factory.mktemp("memory") / "samples.csv"
+    save_samples_csv(record, path)
+    return record, path
+
+
+def test_sample_peak_is_about_twice_the_record(traced):
+    sample(STATE, 10, seed=1)  # lazy imports of the first draw are not the record's
+    record, peak = traced(lambda: sample(STATE, M, seed=2))
+    record_bytes = record.pairs.nbytes
+    assert peak <= 2.2 * record_bytes
+
+
+def test_writer_adds_a_block_not_a_copy(traced, record_csv, tmp_path):
+    record, _ = record_csv
+    record_bytes = record.pairs.nbytes
+    path = tmp_path / "again.csv"
+    _, peak = traced(lambda: save_samples_csv(record, path))
+    assert peak <= 0.25 * record_bytes
+
+
+def test_manifest_hashes_without_reading_the_whole_file(traced, record_csv, tmp_path):
+    _, path = record_csv
+    assert os.path.getsize(path) >= 10_000_000
+    _, peak = traced(lambda: write_manifest(tmp_path / "samples.manifest", "sample",
+                                            {}, "0" * 12, [path]))
+    assert peak <= 2_000_000
