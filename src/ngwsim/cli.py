@@ -81,8 +81,8 @@ def _parse_range(text):
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = map(float, parts)
-    if step <= 0:
-        raise ValueError("range step must be positive")
+    if not (np.isfinite([start, stop, step]).all() and step > 0):
+        raise ValueError(f"range must be finite with a positive step, got {text!r}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(n)
 
@@ -423,23 +423,25 @@ def _repro_appB(args):
     return tables
 
 
-# target: (table builders, whether the rows and the hashed entries carry the run's seed)
+# target: (table builders, {dest: default} of the flags it reads besides --out,
+# which are hashed; --seed also stamps the rows). Any other flag is an error.
 _TARGETS = {
-    "fig2": ((_repro_fig2,), False),
-    "fig3": ((_repro_fig3a, _repro_fig3b), False),
-    "fig3a": ((_repro_fig3a,), False),
-    "fig3b": ((_repro_fig3b,), False),
-    "fig4": ((_repro_fig4,), False),
-    "fig4b": ((_repro_fig4b,), False),
-    "fig5": ((_repro_fig5,), True),
-    "fig6": ((_repro_fig6,), True),
-    "appA": ((_repro_appA,), False),
-    "appB": ((_repro_appB,), False),
+    "fig2": ((_repro_fig2,), {}),
+    "fig3": ((_repro_fig3a, _repro_fig3b), {}),
+    "fig3a": ((_repro_fig3a,), {}),
+    "fig3b": ((_repro_fig3b,), {}),
+    "fig4": ((_repro_fig4,), {}),
+    "fig4b": ((_repro_fig4b,), {}),
+    "fig5": ((_repro_fig5,), {"seed": 42}),
+    "fig6": ((_repro_fig6,), {"seed": 42, "reps": 30,
+                              "sample_counts": "1000000,2000000,4000000,10000000",
+                              "deltas": "0.05,0.1,0.2,0.3,0.4"}),
+    "appA": ((_repro_appA,), {}),
+    "appB": ((_repro_appB,), {}),
 }
-
-# the fig6 grid flags, which no other target reads
-_FIG6_DEFAULTS = {"reps": 30, "sample_counts": "1000000,2000000,4000000,10000000",
-                  "deltas": "0.05,0.1,0.2,0.3,0.4"}
+# flag dest: (default, the targets that read it)
+_REPRODUCE_FLAGS = {dest: (default, [t for t, (_, read) in _TARGETS.items() if dest in read])
+                    for _, flags in _TARGETS.values() for dest, default in flags.items()}
 
 _PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
@@ -488,20 +490,19 @@ if __name__ == "__main__":
 
 def cmd_reproduce(args):
     target = args.target
-    builders, seeded = _TARGETS[target]
-    entries = {"target": target}
-    if target == "fig6":
-        for dest, default in _FIG6_DEFAULTS.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-            entries[dest.replace("_", "-")] = getattr(args, dest)
-    elif any(getattr(args, dest) is not None for dest in _FIG6_DEFAULTS):
-        raise ValueError("--reps, --sample-counts and --deltas apply to fig6 only")
-    if seeded:
-        entries["seed"] = args.seed
+    builders, flags = _TARGETS[target]
+    stray = [f"--{dest.replace('_', '-')} applies to {', '.join(readers)} only"
+             for dest, (_, readers) in _REPRODUCE_FLAGS.items()
+             if dest not in flags and getattr(args, dest) is not None]
+    if stray:
+        raise ValueError("; ".join(stray))
+    for dest, default in flags.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    entries = {"target": target, **{dest.replace("_", "-"): getattr(args, dest) for dest in flags}}
     tables = [table for build in builders for table in build(args)]
     paths = _write_bundle(args.out, target, f"reproduce {target}", entries, tables,
-                          seed=args.seed if seeded else 0)
+                          seed=args.seed if "seed" in flags else 0)
     with _atomic_open(os.path.join(args.out, f"plot_{target}.py")) as handle:
         handle.write(_PLOT_TEMPLATE.format(
             target=target, files=[os.path.basename(p) for p in paths]))
@@ -589,13 +590,11 @@ def build_parser():
 
     p = command("reproduce", cmd_reproduce, "figure-level reproduction bundles")
     p.add_argument("target", choices=list(_TARGETS))
-    p.add_argument("--seed", type=int, default=42, help="RNG seed")
-    p.add_argument("--reps", type=int,
-                   help=f"replicates for fig6 (default {_FIG6_DEFAULTS['reps']})")
-    p.add_argument("--sample-counts", help="comma list of sample counts for fig6 "
-                   f"(default {_FIG6_DEFAULTS['sample_counts']})")
-    p.add_argument("--deltas",
-                   help=f"comma list of bin sizes for fig6 (default {_FIG6_DEFAULTS['deltas']})")
+    for dest, what in (("seed", "RNG seed"), ("reps", "replicates"),
+                       ("sample_counts", "sample counts"), ("deltas", "bin sizes")):
+        default, readers = _REPRODUCE_FLAGS[dest]
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type(default),
+                       help=f"{what} (read by {', '.join(readers)}; default {default})")
 
     return parser
 

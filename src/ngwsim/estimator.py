@@ -49,23 +49,6 @@ def _rng_for(seed, stream=0):
     return np.random.Generator(bitgen)
 
 
-def _mixture(density):
-    """Exact mixture form of a measured density.
-
-    In its whitened eigenframe y - mean = M v (JointDensity.eigenframe) the
-    density is (c + d_1 v_1^2 + d_2 v_2^2) phi(v) with c = 1 - d_1 - d_2: the
-    mixture of a standard normal (weight c) and, for each axis k (weight d_k),
-    a chi distribution with 3 degrees of freedom and random sign on axis k
-    times a standard normal on the other axis. Returns the weights
-    (c, d_1, d_2) and M.
-    """
-    d, frame, _ = density.eigenframe()
-    weights = np.array([1.0 - d.sum(), d[0], d[1]])
-    if weights.min() < -1e-12:
-        raise ValueError(f"density polynomial is negative somewhere (weights {weights})")
-    return np.maximum(weights, 0.0), frame
-
-
 def _draw_components(rng, v, weights):
     """Turn the (m, 2) standard normals v in place into draws of the mixture
     with weights (c, d_1, d_2): m uniforms choose the components, then each
@@ -100,10 +83,10 @@ def _draw_components(rng, v, weights):
 def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     """Draw m i.i.d. outcomes from the measured joint density.
 
-    Exact mixture sampling (see _mixture): every pair starts as a standard
-    normal in the eigenframe; pairs drawn into an axis component get that
-    coordinate z replaced by sign(z) sqrt(z^2 + 2E), E ~ Exp(1), which is
-    chi-3 distributed with a random sign. The draws come in a fixed order
+    Exact sampling of the density's mixture form (JointDensity): every pair
+    starts as a standard normal in the eigenframe; pairs drawn into an axis
+    component get that coordinate z replaced by sign(z) sqrt(z^2 + 2E),
+    E ~ Exp(1), a signed chi-3 draw. The draws come in a fixed order
     (m normal pairs, m uniforms choosing the components, one exponential per
     axis-component pair in record order), so the record is deterministic for
     a given (seed, stream) pair, where nonzero streams select jumped Philox
@@ -118,11 +101,10 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     if m < 1:
         raise ValueError("sample count must be at least 1")
     density = measurement_pdf(state, basis)
-    weights, axes = _mixture(density)
     rng = _rng_for(seed, stream)
     v = rng.standard_normal((m, 2))
-    _draw_components(rng, v, weights)
-    pairs = v @ axes.T
+    _draw_components(rng, v, density.weights)
+    pairs = v @ density.frame.T
     pairs += density.mean
     return SampleSet(
         pairs=pairs,

@@ -43,9 +43,9 @@ def _laplace_integrand(density, derivs):
     """FI integrand over the Laplace variable s, the Gaussian moments in closed form.
 
     In the whitened eigenframe y - mean = M v of the measured density
-    (JointDensity.eigenframe: M^-1 Sigma M^-T = 1, M^-1 T M^-T = diag(d)),
-    the density is q(v) phi(v) with q = c + d_1 v_1^2 + d_2 v_2^2 and
-    c = 1 - d_1 - d_2, and dp/dtheta = N(v) phi(v) with N a quartic. Writing
+    (JointDensity.frame: M^-1 Sigma M^-T = 1, M^-1 T M^-T = diag(d)), the
+    density is q(v) phi(v) with q = c + d_1 v_1^2 + d_2 v_2^2 for the
+    weights (c, d_1, d_2), and dp/dtheta = N(v) phi(v) with N a quartic. Writing
     1/q as the integral of e^(-s q) over s >= 0 turns the FI, the integral of
     N^2 phi / q, into the integral over s of e^(-s c) times Gaussian moments
     of N^2 with variances tau_k = 1 / (1 + 2 s d_k):
@@ -53,20 +53,16 @@ def _laplace_integrand(density, derivs):
     the v_1^(2i) v_2^(2j) coefficient of N^2; odd powers have zero moments.
     """
     d_sigma, d_t, d_mean = derivs
-    d, _, m_inv = density.eigenframe()
+    c, d, m_inv = density.weights[0], density.weights[1:], density.frame_inv
     s_w, t_w = m_inv @ d_sigma @ m_inv.T, m_inv @ d_t @ m_inv.T
     # P = M^T (dQ/dtheta) M for the polynomial form (u^T Q u + c) G_Sigma(u), and dc
     p = t_w - s_w * d - d[:, None] * s_w
-    c, d_c = 1.0 - d.sum(), s_w.diagonal() @ d - np.trace(t_w)
-    # Roundoff-level eigenvalues and c are zeroed. The density then vanishes on
-    # a line (or at the centre); being >= 0 for every theta, so does its
-    # derivative, so P_kk and dc are zeroed too and N = 0 wherever p = 0. The
-    # coefficients that would not decay in s are then exactly zero.
-    scale = max(d[1], c)
-    flat = d < 1e-12 * scale
-    d[flat] = 0.0
+    # A zero weight (JointDensity zeroes roundoff) makes p vanish on a line (or at
+    # the centre); as p >= 0 for every theta, dp vanishes there too: P_kk and dc are
+    # zeroed, so N = 0 wherever p = 0 and no coefficient that would not decay is left.
+    flat = d == 0.0
     p[flat, flat] = 0.0
-    c, d_c = (c, d_c) if c >= 1e-12 * scale else (0.0, 0.0)
+    d_c = s_w.diagonal() @ d - np.trace(t_w) if c else 0.0
     r = 0.5 * s_w
     h = m_inv @ d_mean
     tr_r = -np.trace(r)
@@ -136,7 +132,10 @@ def angle_grid_scan(state, gen, grid_step, theta0=0.0):
     """Fisher information on the (phi_A, phi_B) grid covering [0, pi)^2.
 
     Returns (angles, matrix) with matrix[i, j] the FI at (angles[i], angles[j]).
+    A grid step that is not positive and finite raises ValueError.
     """
+    if not (np.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"angle grid step must be positive and finite, got {grid_step!r}")
     angles = np.arange(0.0, np.pi - 1e-12, grid_step)
     values = np.array([
         fi_continuous(state, gen, QuadratureBasis(pa, pb), theta0)

@@ -10,6 +10,7 @@ columns. The measured joint quadrature density for any pair of homodyne
 angles follows by rotating and keeping the x components.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +31,12 @@ def squeezing_r(s_db):
     return -s_db * np.log(10.0) / 20.0
 
 
+def _check_finite(obj, names):
+    for name in names:
+        if not all(map(math.isfinite, np.asarray(getattr(obj, name)).flat)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite")
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Physical parameters of the probe state.
@@ -46,8 +53,7 @@ class StateSpec:
     eta: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.r_a) and np.isfinite(self.r_b)):
-            raise ValueError(f"r_a and r_b must be finite, got {self.r_a}, {self.r_b}")
+        _check_finite(self, ("r_a", "r_b"))
         if not 0.0 <= self.phi_sub <= np.pi / 2:
             raise ValueError(f"phi_sub must lie in [0, pi/2], got {self.phi_sub}")
         if not 0.0 <= self.eta < 1.0:
@@ -72,8 +78,7 @@ class QuadratureBasis:
     nonlocal_mix: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.phi_a, self.phi_b, self.nonlocal_mix])):
-            raise ValueError("basis angles must be finite")
+        _check_finite(self, ("phi_a", "phi_b", "nonlocal_mix"))
         object.__setattr__(self, "phi_a", float(self.phi_a) % TWO_PI)
         object.__setattr__(self, "phi_b", float(self.phi_b) % TWO_PI)
         object.__setattr__(self, "nonlocal_mix", float(self.nonlocal_mix) % TWO_PI)
@@ -99,13 +104,16 @@ class PolyGaussianState:
     derivative terms integrate to zero, so the density is normalized for any
     t; as a polynomial times G_cov it is (u^T Q u + c) G_cov(u) with
     Q = cov^-1 t cov^-1 and c = 1 - tr(cov^-1 t). The physical second moments
-    are cov + 2 t (second_moments()).
+    are cov + 2 t (second_moments()). Non-finite fields raise ValueError.
     """
 
     cov: np.ndarray
     t: np.ndarray
     mean: np.ndarray = field(default_factory=lambda: np.zeros(4))
     pure: bool = True
+
+    def __post_init__(self):
+        _check_finite(self, ("cov", "t", "mean"))
 
     def second_moments(self):
         """Physical 4x4 covariance matrix (the matrix V of the state)."""
@@ -170,23 +178,47 @@ def evolve(state, gen, theta):
     return replace(state, cov=s @ state.cov @ s.T, t=s @ state.t @ s.T, mean=s @ state.mean + shift)
 
 
+def _whitened(sigma, t):
+    """Unrounded (c, d_1, d_2), L V and V^T L^-1: sigma = L L^T, L^-1 t L^-T = V diag(d) V^T."""
+    chol = np.linalg.cholesky(sigma)
+    chol_inv = np.linalg.inv(chol)
+    d, vecs = np.linalg.eigh(chol_inv @ t @ chol_inv.T)
+    d_1, d_2 = d.tolist()
+    return [1.0 - (d_1 + d_2), d_1, d_2], chol @ vecs, vecs.T @ chol_inv
+
+
 @dataclass(frozen=True)
 class JointDensity:
     """Normalized bivariate density G_sigma(u) + sum_ij t_ij d_i d_j G_sigma(u),
-    u = y - mean, over the measured quadratures."""
+    u = y - mean, over the measured quadratures. At y - mean = frame v it is
+    (c + d_1 v_1^2 + d_2 v_2^2) phi(v): with weights (c, d_1, d_2) summing to 1,
+    a standard normal and, per axis k, a signed chi-3 on axis k times a normal
+    on the other. Weights below 1e-12 of the largest are roundoff, set to 0; a
+    non-finite field or a weight below -1e-12 of the largest raises ValueError."""
 
     sigma: np.ndarray
     t: np.ndarray
     mean: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
+    frame_inv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_finite(self, ("sigma", "t", "mean"))
+        weights, frame, frame_inv = _whitened(self.sigma, self.t)
+        floor = 1e-12 * max(weights)
+        if min(weights) < -floor:
+            raise ValueError(f"density polynomial is negative somewhere (weights {weights})")
+        weights = np.array([w if w >= floor else 0.0 for w in weights])
+        for name, value in zip(("weights", "frame", "frame_inv"), (weights, frame, frame_inv)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, points):
-        """(c + sum_k d_k v_k^2) phi(v) / |det M| at y = mean + M v, from the
-        eigenframe, with c = 1 - sum_k d_k and phi the standard normal."""
-        d, frame, frame_inv = self.eigenframe()
-        v = (np.atleast_2d(np.asarray(points, dtype=float)) - self.mean) @ frame_inv.T
+        """(c + d_1 v_1^2 + d_2 v_2^2) phi(v) / |det frame| at y = mean + frame v."""
+        v = (np.atleast_2d(np.asarray(points, dtype=float)) - self.mean) @ self.frame_inv.T
         v *= v
-        gauss = np.exp(-0.5 * v.sum(axis=1)) / (2.0 * np.pi * abs(np.linalg.det(frame)))
-        return (1.0 - d.sum() + v @ d) * gauss
+        gauss = np.exp(-0.5 * v.sum(axis=1)) / (2.0 * np.pi * abs(np.linalg.det(self.frame)))
+        return (self.weights[0] + v @ self.weights[1:]) * gauss
 
     def grid(self, xs, ys):
         """Density evaluated on the outer grid of two 1-D arrays."""
@@ -202,19 +234,6 @@ class JointDensity:
         """Central Weyl moment <y_1^n y_2^m> of the measured pair."""
         idx = [0] * i_power + [1] * j_power
         return poly_gauss_moment(idx, self.sigma, self.t)
-
-    def eigenframe(self):
-        """Whitened eigenframe (d, frame, frame_inv) of the density.
-
-        With sigma = L L^T, L^-1 t L^-T = V diag(d) V^T (d ascending),
-        frame = L V and frame_inv = V^T L^-1. In the coordinates
-        v = frame_inv (y - mean) the density is
-        (1 - sum_k d_k + sum_k d_k v_k^2) times the standard normal.
-        """
-        chol = np.linalg.cholesky(self.sigma)
-        chol_inv = np.linalg.inv(chol)
-        d, vecs = np.linalg.eigh(chol_inv @ self.t @ chol_inv.T)
-        return d, chol @ vecs, vecs.T @ chol_inv
 
 
 def measurement_pdf(state, basis=X_BASIS):

@@ -127,8 +127,15 @@ def grid_moment(density, i_pow, j_pow, n=801, n_sigma=10.0, central=True):
 
 
 def grid_norm(density, n=801, n_sigma=10.0):
-    xs, ys = grid_points(density, n, n_sigma)
-    return np.trapezoid(np.trapezoid(density.grid(xs, ys), ys, axis=1), xs)
+    """Trapezoid norm on a shimmed grid along the principal axes of the
+    covariance, covering +-n_sigma deviations on each: a thin, strongly
+    correlated density gets as many nodes across as a round one."""
+    variances, axes = np.linalg.eigh(density.covariance())
+    us, ws = (np.sqrt(var) * (np.linspace(-n_sigma, n_sigma, n) + shim)
+              for var, shim in zip(variances, (SHIM, 0.31 * SHIM)))
+    gu, gw = np.meshgrid(us, ws, indexing="ij")
+    vals = density(density.mean + np.column_stack([gu.ravel(), gw.ravel()]) @ axes.T)
+    return np.trapezoid(np.trapezoid(vals.reshape(n, n), ws, axis=1), us)
 
 
 def vnoisy_reference(r_a, r_b, phi):

@@ -48,6 +48,13 @@ class TestAnalytic:
         assert digest(tmp_path / "r1" / "analytic_phase.csv") == \
             digest(tmp_path / "r2" / "analytic_phase.csv")
 
+    @pytest.mark.parametrize("text", ["0:1:nan", "nan:1:0.5", "0:inf:0.5", "0:1:0", "0:1:-0.5"])
+    def test_non_finite_range_or_step_is_an_error(self, tmp_path, capsys, text):
+        assert run_cli("analytic", "--sa-range", text, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == \
+            f"error: range must be finite with a positive step, got {text!r}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_generator(self, tmp_path, capsys):
         assert run_cli("analytic", "--scan", "warp", "--out", tmp_path) == 1
         assert "unknown generator" in capsys.readouterr().err
@@ -172,6 +179,14 @@ class TestFi:
                        "--step", np.pi / 20, "--out", tmp_path) == 0
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "max FI = 4.0490 at phi_a = 0.3142, phi_b = 2.6704"
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
+    def test_fi_angles_bad_step_is_an_error(self, tmp_path, capsys, step):
+        assert run_cli("fi-angles", f"--step={step}", "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "angle grid step" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSampleEstimate:
@@ -304,19 +319,43 @@ class TestReproduce:
     @pytest.mark.parametrize("flag, value", [("--reps", "5"), ("--sample-counts", "1000"),
                                              ("--deltas", "0.2")])
     def test_fig6_flag_with_other_target_is_an_error(self, tmp_path, capsys, flag, value):
-        assert run_cli("reproduce", "fig2", flag, value, "--seed", 3, "--out", tmp_path / "o") == 1
-        assert "fig6 only" in capsys.readouterr().err
+        assert run_cli("reproduce", "fig2", flag, value, "--out", tmp_path / "o") == 1
+        assert f"{flag} applies to fig6 only" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_seed_hashed_only_by_seeded_targets(self, tmp_path):
-        for target, seeded in (("fig2", False), ("fig5", True)):
-            runs = []
-            for seed in (3, 4):
-                out = tmp_path / f"{target}_{seed}"
-                assert run_cli("reproduce", target, "--seed", seed, "--out", out) == 0
-                with open(out / f"{target}.manifest") as handle:
-                    runs.append([line for line in handle if line.startswith("config_hash")])
-            assert (runs[0] != runs[1]) == seeded, target
+    @pytest.mark.parametrize("target, flags, message", [
+        ("fig5", ("--sample-counts", "1000"), "--sample-counts applies to fig6 only"),
+        ("appB", ("--deltas", "0.2", "--seed", "3"),
+         "--seed applies to fig5, fig6 only; --deltas applies to fig6 only"),
+        ("fig4", ("--seed", "42"), "--seed applies to fig5, fig6 only"),
+    ])
+    def test_flag_the_target_does_not_read_is_an_error(self, tmp_path, capsys, target, flags,
+                                                       message):
+        assert run_cli("reproduce", target, *flags, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_flag_the_target_does_not_read_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        assert run_cli("reproduce", "fig2", "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "--seed applies to fig5, fig6 only" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_hashed_only_by_seeded_targets(self, tmp_path, capsys):
+        runs = []
+        for seed in (3, 4):
+            out = tmp_path / f"fig5_{seed}"
+            assert run_cli("reproduce", "fig5", "--seed", seed, "--out", out) == 0
+            with open(out / "fig5.manifest") as handle:
+                runs.append([line for line in handle if line.startswith(("config_hash", "seed"))])
+        assert runs[0] != runs[1]
+        assert "seed = 3\n" in runs[0] and "seed = 4\n" in runs[1]
+        # an unseeded target takes no --seed at all
+        capsys.readouterr()
+        assert run_cli("reproduce", "fig2", "--seed", 3, "--out", tmp_path / "fig2") == 1
+        assert "--seed applies to fig5, fig6 only" in capsys.readouterr().err
+        assert not (tmp_path / "fig2").exists()
 
     def test_fig6_reduced_grid(self, tmp_path):
         out = tmp_path / "fig6"

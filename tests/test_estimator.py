@@ -33,7 +33,7 @@ from ngwsim import (
     sample,
     save_samples_csv,
 )
-from ngwsim.estimator import BLOCK, _displaced_histograms, _histogram, _mixture
+from ngwsim.estimator import BLOCK, _displaced_histograms, _histogram
 
 from oracles import binned_witness_reference, grid_norm
 
@@ -48,7 +48,7 @@ def _searchsorted_sample(state, m, seed, basis, stream):
     Philox draws: m normal pairs, m uniforms, then one exponential per
     axis-component pair in record order."""
     density = measurement_pdf(state, basis)
-    weights, axes = _mixture(density)
+    weights, axes = density.weights, density.frame
     bitgen = np.random.Philox(seed)
     rng = np.random.Generator(bitgen.jumped(stream) if stream else bitgen)
     v = rng.standard_normal((m, 2))
@@ -122,7 +122,7 @@ class TestSampling:
     def test_chi2_lossy_mixed_basis(self):
         # all three mixture components carry weight here
         state = apply_loss(build_state(StateSpec(0.3, -0.2, 0.6)), 0.3)
-        weights, _ = _mixture(measurement_pdf(state, NONLOCAL_SATURATING_BASIS))
+        weights = measurement_pdf(state, NONLOCAL_SATURATING_BASIS).weights
         assert weights.min() > 0.05
         assert _chi2_p_value(state, NONLOCAL_SATURATING_BASIS, seed=19) > 0.001
 
@@ -190,7 +190,7 @@ class TestMixture:
         if eta:
             state = apply_loss(state, eta)
         density = measurement_pdf(state, basis)
-        weights, axes = _mixture(density)
+        weights, axes = density.weights, density.frame
         assert weights.min() >= 0.0
         assert abs(grid_norm(density, n=201) - 1.0) < 1e-8
         cov, m40, m22 = _mixture_moments(weights, axes)
@@ -201,7 +201,7 @@ class TestMixture:
 
     def test_pure_xx_density_is_rank_one(self):
         # (alpha x_A + beta x_B)^2 times a Gaussian: one axis carries all weight
-        weights, _ = _mixture(measurement_pdf(STATE))
+        weights = measurement_pdf(STATE).weights
         assert weights[0] < 1e-12 and min(weights[1:]) < 1e-12
         assert abs(max(weights[1:]) - 1.0) < 1e-12
 
@@ -209,10 +209,10 @@ class TestMixture:
         # c = 1 - tr(sigma^-1 t) = -1e-6: the pure density's t scaled up
         density = measurement_pdf(STATE)
         scale = (1.0 + 1e-6) / np.trace(np.linalg.solve(density.sigma, density.t))
-        bad = type(density)(sigma=density.sigma, t=scale * density.t, mean=density.mean)
-        assert abs(1.0 - np.trace(np.linalg.solve(bad.sigma, bad.t)) + 1e-6) < 1e-15
-        with pytest.raises(ValueError):
-            _mixture(bad)
+        assert abs(1.0 - np.trace(np.linalg.solve(density.sigma, scale * density.t))
+                   + 1e-6) < 1e-15
+        with pytest.raises(ValueError, match="negative somewhere"):
+            type(density)(sigma=density.sigma, t=scale * density.t, mean=density.mean)
 
 
 class TestDisplaceSamples:

@@ -12,6 +12,7 @@ from ngwsim import (
     X_BASIS,
     apply_loss,
     build_state,
+    angle_grid_scan,
     evolve,
     fi_continuous,
     measurement_pdf,
@@ -19,7 +20,6 @@ from ngwsim import (
     qfi_pure,
     saturation_check,
 )
-from ngwsim.estimator import _mixture
 from ngwsim.fisher import _laplace_integrand, _measured_family_with_derivative
 
 from oracles import (fi_central_difference, fi_lossy_symmetric_1d, fi_lossy_symmetric_exact,
@@ -213,11 +213,16 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(fi_cases(), st.floats(-1.0, 1.0))
     def test_evolved_density_nonnegative_normalized(self, case, theta):
-        # non-negative: _mixture raises if a weight (c, d_1, d_2) of the
-        # whitened density is below -1e-12; normalized: a trapezoid grid
+        # non-negative: building the density raises if a weight (c, d_1, d_2)
+        # of the whitened density is below -1e-12 times the largest, and the
+        # pdf is >= 0 along both eigenframe axes, which hold the nodal line of
+        # a pure state; normalized: a trapezoid grid
         spec, basis, gen = case
         density = measurement_pdf(evolve(build_state(spec), gen, theta), basis)
-        _mixture(density)
+        assert density.weights.min() >= 0.0
+        steps = np.linspace(-4.0, 4.0, 17)[:, None]
+        for axis in density.frame.T:
+            assert density(density.mean + steps * axis).min() >= 0.0
         assert abs(grid_norm(density, n=201) - 1.0) < 1e-8
 
 
@@ -247,6 +252,14 @@ class TestBounds:
                 basis = QuadratureBasis(rng.uniform(0, np.pi), rng.uniform(0, np.pi))
                 fi = fi_continuous(state, gen, basis)
                 assert fi <= qfi * (1 + 1e-6)
+
+
+class TestAngleStep:
+    @pytest.mark.parametrize("step", [0.0, -0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("scan", [angle_grid_scan, optimize_angles, saturation_check])
+    def test_bad_step_rejected(self, scan, step):
+        with pytest.raises(ValueError, match="angle grid step"):
+            scan(build_state(StateSpec(0.2, 0.2)), DISP, step)
 
 
 class TestAppendixValues:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ngwsim import (
     DegenerateStateError,
     GeneratorSpec,
+    JointDensity,
     P_BASIS,
     QuadratureBasis,
     StateSpec,
@@ -11,10 +14,16 @@ from ngwsim import (
     apply_loss,
     build_state,
     evolve,
+    fi_continuous,
+    generator_variance,
     measurement_pdf,
+    qfi_pure,
+    sample,
     squeezing_db,
     squeezing_r,
 )
+from ngwsim.moments import GENERATOR_KINDS
+from ngwsim.state import _whitened
 
 from oracles import (
     grid_moment,
@@ -152,6 +161,107 @@ class TestMeasurementPdf:
         assert abs(grid_moment(pdf, 1, 0)) < 1e-10
         assert abs(grid_moment(pdf, 0, 1)) < 1e-10
         assert abs(pdf.moment(1, 2)) < 1e-10
+
+
+_DISP = GeneratorSpec("displacement", +1)
+# every reader of a state's measured density, and the moment layer
+_STATE_READERS = {
+    "fi_continuous": lambda state: fi_continuous(state, _DISP),
+    "sample": lambda state: sample(state, 10, seed=1),
+    "measurement_pdf": measurement_pdf,
+    "generator_variance": lambda state: generator_variance(state, _DISP, "A"),
+    "qfi_pure": lambda state: qfi_pure(state, _DISP),
+}
+_DENSITY_READERS = ("fi_continuous", "sample", "measurement_pdf")
+
+
+def _margin_cases(count, seed, r_max):
+    """Random (state, generator, theta, basis): r in [-r_max, r_max], eta in
+    {0, 1e-12, 1e-6, 0.1, 0.5}, any generator kind and sign, theta in [-1, 1],
+    local angles with a two-mode mixing angle half of the time."""
+    rng = np.random.default_rng(seed)
+    while count:
+        r_a, r_b = rng.uniform(-r_max, r_max, 2)
+        phi = rng.uniform(0.05, np.pi / 2 - 0.05)
+        eta = rng.choice([0.0, 1e-12, 1e-6, 0.1, 0.5])
+        gen = GeneratorSpec(GENERATOR_KINDS[rng.integers(4)], int(rng.choice([-1, 1])))
+        theta = rng.uniform(-1.0, 1.0)
+        angles = rng.uniform(0.0, np.pi, 3)
+        basis = QuadratureBasis(*angles[:2], angles[2] if rng.random() < 0.5 else 0.0)
+        if abs(np.sinh(r_a) * np.cos(phi)) < 1e-2 and abs(np.sinh(r_b) * np.sin(phi)) < 1e-2:
+            continue
+        count -= 1
+        yield StateSpec(r_a, r_b, phi, eta), gen, theta, basis
+
+
+def _relative_roundoff(spec, gen, theta, basis):
+    """Smallest over largest of the weights (c, d_1, d_2) of the measured
+    density, before the roundoff rule."""
+    state = evolve(build_state(spec), gen, theta)
+    m = basis.symplectic()[[0, 2]]
+    weights, _, _ = _whitened(m @ state.cov @ m.T, m @ state.t @ m.T)
+    return min(weights) / max(weights)
+
+
+class TestDensityDomain:
+    """One physical-domain check and one roundoff rule for every reader of
+    the measured density: JointDensity rejects non-finite fields and
+    weights (c, d_1, d_2) below -1e-12 times the largest, and sets those
+    below +1e-12 times the largest to exactly 0."""
+
+    @pytest.mark.parametrize("field", ["t", "mean"])
+    @pytest.mark.parametrize("reader", list(_STATE_READERS))
+    def test_non_finite_state_rejected(self, reader, field):
+        state = build_state(StateSpec(0.2, 0.2))
+        bad = getattr(state, field).copy()
+        bad[2] = np.nan
+        with pytest.raises(ValueError, match=f"PolyGaussianState.{field} must be finite"):
+            _STATE_READERS[reader](replace(state, **{field: bad}))
+
+    @pytest.mark.parametrize("field", ["sigma", "t", "mean"])
+    def test_non_finite_density_rejected(self, field):
+        fields = {"sigma": np.eye(2), "t": np.zeros((2, 2)), "mean": np.zeros(2)}
+        fields[field] = np.full_like(fields[field], np.inf)
+        with pytest.raises(ValueError, match=f"JointDensity.{field} must be finite"):
+            JointDensity(**fields)
+
+    @pytest.mark.parametrize("t_scale, weights", [(3.0, (-2.0, 0.0, 3.0)),
+                                                  (-0.3, (1.3, -0.3, 0.0))])
+    @pytest.mark.parametrize("reader", _DENSITY_READERS)
+    def test_negative_density_rejected_by_every_reader(self, reader, t_scale, weights):
+        # the pure x-x density has weights (0, 0, 1); scaling t scales d
+        state = build_state(StateSpec(0.2, 0.2))
+        density = measurement_pdf(state)
+        unrounded, _, _ = _whitened(density.sigma, t_scale * density.t)
+        np.testing.assert_allclose(unrounded, weights, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="negative somewhere"):
+            _STATE_READERS[reader](replace(state, t=t_scale * state.t))
+
+    @pytest.mark.parametrize("r", [0.2, 0.7])
+    def test_pure_nodal_line_is_never_negative(self, r):
+        # x-x density of a pure state: (alpha x_A + beta x_B)^2 times a
+        # Gaussian, weights (0, 0, 1) up to roundoff. Along the zero-weight
+        # axis only the squared roundoff of v_2 is left, and no point of the
+        # pdf is negative
+        density = measurement_pdf(build_state(StateSpec(r, r)))
+        assert density.weights[0] == 0.0 and density.weights[1] == 0.0
+        steps = np.linspace(-4.0, 4.0, 33)[:, None]
+        along = density(density.mean + steps * density.frame[:, 0])
+        assert along.min() >= 0.0 and along.max() < 1e-25
+        xs = np.linspace(-3.0, 3.0, 61)
+        assert density.grid(xs, xs).min() >= 0.0
+
+    def test_roundoff_margin_of_the_gate(self):
+        # The gate at 1e-12 times the largest weight must sit well clear of
+        # the whitening's roundoff. The pinned case is the worst of 30,000
+        # cases of this mix (seeds 0-9); a sweep of one seed rarely reaches
+        # the tail. Both stay above -5e-13, a margin of 2 to the gate.
+        pinned = (StateSpec(2.7446729697314876, -1.234523512404456, 1.3972448629915695),
+                  GeneratorSpec("squeeze", -1), 0.650541243348338,
+                  QuadratureBasis(2.6555244749976428, 1.0590378418987605, 0.5262531198010979))
+        worst = min(_relative_roundoff(*case)
+                    for case in [pinned, *_margin_cases(3000, seed=0, r_max=3.0)])
+        assert -5e-13 < worst <= 0.0
 
 
 class TestApplyLoss:
