@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature
 from .moments import generator_total_variance
-from .state import JointDensity, QuadratureBasis, X_BASIS
+from .state import QuadratureBasis, X_BASIS, measured_density
 
 NONLOCAL_SATURATING_BASIS = QuadratureBasis(0.0, np.pi / 2, -np.pi / 4)
 
@@ -33,8 +33,7 @@ def _measured_family_with_derivative(state, gen, basis, theta0):
     rows = basis.symplectic()[[0, 2]]
     s, shift, ds, d_shift = gen.flow(theta0)
     m, dm = rows @ s, rows @ ds
-    density = JointDensity(sigma=m @ state.cov @ m.T, t=m @ state.t @ m.T,
-                           mean=m @ state.mean + rows @ shift)
+    density = measured_density(m, state, m @ state.mean + rows @ shift)
     d_sigma, d_t = dm @ state.cov @ m.T, dm @ state.t @ m.T
     return density, (d_sigma + d_sigma.T, d_t + d_t.T, dm @ state.mean + rows @ d_shift)
 

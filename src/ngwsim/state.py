@@ -33,8 +33,9 @@ def squeezing_r(s_db):
 
 def _check_finite(obj, names):
     for name in names:
-        if not all(map(math.isfinite, np.asarray(getattr(obj, name)).flat)):
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite")
+        value = np.asarray(getattr(obj, name))
+        if not all(map(math.isfinite, value.flat)):
+            raise ValueError(f"{name} must be finite, got {value.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -178,13 +179,21 @@ def evolve(state, gen, theta):
     return replace(state, cov=s @ state.cov @ s.T, t=s @ state.t @ s.T, mean=s @ state.mean + shift)
 
 
-def _whitened(sigma, t):
-    """Unrounded (c, d_1, d_2), L V and V^T L^-1: sigma = L L^T, L^-1 t L^-T = V diag(d) V^T."""
+def _whitened(sigma, t, magnitude):
+    """Unrounded weights (c, d_1, d_2), their roundoff floor, L V and V^T L^-1,
+    where sigma = L L^T and L^-1 t L^-T = V diag(d) V^T.
+
+    An error eps * magnitude in sigma or t moves c = 1 - tr(sigma^-1 t) by up to
+    about eps * magnitude * tr(sigma^-1); the floor is ten times that, at least
+    1e-12, times the largest weight.
+    """
     chol = np.linalg.cholesky(sigma)
     chol_inv = np.linalg.inv(chol)
     d, vecs = np.linalg.eigh(chol_inv @ t @ chol_inv.T)
     d_1, d_2 = d.tolist()
-    return [1.0 - (d_1 + d_2), d_1, d_2], chol @ vecs, vecs.T @ chol_inv
+    weights = [1.0 - (d_1 + d_2), d_1, d_2]
+    roundoff = 10.0 * np.finfo(float).eps * magnitude * float(np.vdot(chol_inv, chol_inv))
+    return weights, max(1e-12, roundoff) * max(weights), chol @ vecs, vecs.T @ chol_inv
 
 
 @dataclass(frozen=True)
@@ -193,20 +202,26 @@ class JointDensity:
     u = y - mean, over the measured quadratures. At y - mean = frame v it is
     (c + d_1 v_1^2 + d_2 v_2^2) phi(v): with weights (c, d_1, d_2) summing to 1,
     a standard normal and, per axis k, a signed chi-3 on axis k times a normal
-    on the other. Weights below 1e-12 of the largest are roundoff, set to 0; a
-    non-finite field or a weight below -1e-12 of the largest raises ValueError."""
+    on the other.
+
+    magnitude is the size of the terms sigma and t were summed from, the entry
+    sum of |m| (|cov| + |t|) |m|^T for sigma = m cov m^T (measured_density). It
+    sets the weights' roundoff floor (_whitened): weights below the floor are
+    set to 0, and a non-finite field or a weight below minus the floor raises
+    ValueError.
+    """
 
     sigma: np.ndarray
     t: np.ndarray
     mean: np.ndarray
+    magnitude: float
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
     frame_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_finite(self, ("sigma", "t", "mean"))
-        weights, frame, frame_inv = _whitened(self.sigma, self.t)
-        floor = 1e-12 * max(weights)
+        _check_finite(self, ("sigma", "t", "mean", "magnitude"))
+        weights, floor, frame, frame_inv = _whitened(self.sigma, self.t, self.magnitude)
         if min(weights) < -floor:
             raise ValueError(f"density polynomial is negative somewhere (weights {weights})")
         weights = np.array([w if w >= floor else 0.0 for w in weights])
@@ -236,6 +251,15 @@ class JointDensity:
         return poly_gauss_moment(idx, self.sigma, self.t)
 
 
+def measured_density(m, state, mean):
+    """JointDensity of the quadratures m xi for the 2 x 4 rows m of a phase-space
+    map: sigma = m cov m^T, t = m t m^T, with the magnitude of their terms."""
+    abs_m = np.abs(m)
+    magnitude = float(np.sum(abs_m @ (np.abs(state.cov) + np.abs(state.t)) * abs_m))
+    return JointDensity(sigma=m @ state.cov @ m.T, t=m @ state.t @ m.T, mean=mean,
+                        magnitude=magnitude)
+
+
 def measurement_pdf(state, basis=X_BASIS):
     """Joint density of the homodyne outcomes selected by a QuadratureBasis.
 
@@ -243,4 +267,4 @@ def measurement_pdf(state, basis=X_BASIS):
     out the conjugate pair keeps those rows and columns of (cov, t).
     """
     m = basis.symplectic()[[0, 2]]
-    return JointDensity(sigma=m @ state.cov @ m.T, t=m @ state.t @ m.T, mean=m @ state.mean)
+    return measured_density(m, state, m @ state.mean)

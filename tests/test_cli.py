@@ -137,6 +137,8 @@ class TestConfigFile:
         (("fi", "--theta0", "nan"), "theta"),
         (("estimate", "--samples", "1000", "--reps", "1", "--range", "inf"), "half_range"),
         (("estimate", "--samples", "1000", "--reps", "1", "--theta-max", "nan"), "theta grid"),
+        (("fi", "--ra", "nan"), "r_a must be finite, got nan"),
+        (("fi", "--mix", "inf"), "nonlocal_mix must be finite, got inf"),
     ])
     def test_non_finite_value_names_it(self, tmp_path, capsys, args, name):
         assert run_cli(*args, "--out", tmp_path / "o") == 1

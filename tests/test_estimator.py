@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,7 +213,7 @@ class TestMixture:
         assert abs(1.0 - np.trace(np.linalg.solve(density.sigma, scale * density.t))
                    + 1e-6) < 1e-15
         with pytest.raises(ValueError, match="negative somewhere"):
-            type(density)(sigma=density.sigma, t=scale * density.t, mean=density.mean)
+            replace(density, t=scale * density.t)
 
 
 class TestDisplaceSamples:
