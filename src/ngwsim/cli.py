@@ -19,7 +19,6 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateStateError, UnphysicalCovarianceError
 from .estimator import bin_samples, default_theta_grid, replicate, sample, save_samples_csv
 from .fisher import NONLOCAL_SATURATING_BASIS, fi_continuous, optimize_angles, qfi_pure
 from .moments import GeneratorSpec, generator_variance
@@ -172,6 +171,7 @@ def cmd_analytic(args):
         raise ValueError(f"unknown generator {kind!r}")
     if args.delta_axis != 0.0 and kind != "displacement":
         raise ValueError("--delta-axis applies to the displacement scan only")
+    StateSpec(0.2, 0.2, args.phi)  # StateSpec's phi_sub range check, once before the scan
     options = {"phi_sub": args.phi, "sign": args.sign}
     if kind == "displacement":
         options["delta"] = args.delta_axis
@@ -184,7 +184,7 @@ def cmd_analytic(args):
             r_a, r_b = DB_TO_R * s_a, DB_TO_R * s_b
             try:
                 value = _EQ_FUNCTIONS[kind](r_a, r_b, **options)
-            except (DegenerateStateError, ValueError):
+            except ValueError:  # DegenerateStateError included
                 value = float("nan")
             rows.append([s_a, s_b, r_a, r_b, value])
     [path] = _write_bundle(args.out, f"analytic_{kind}", "analytic", entries,
@@ -256,13 +256,11 @@ def cmd_sample(args):
     spec, state_entries = _spec_from(args)
     record = sample(build_state(spec), args.samples, args.seed, spec=spec)
     entries = {**state_entries, "samples": args.samples, "seed": args.seed}
-    cfg = config_hash(entries)
     path = os.path.join(args.out, "samples.csv")
     with _atomic_open(path) as handle:
         save_samples_csv(record, handle)
-    entries["acceptance-rate"] = record.acceptance_rate
-    write_manifest(os.path.join(args.out, "samples.manifest"), "sample", entries, cfg, [path])
-    print(f"acceptance rate {record.acceptance_rate:.3f}")
+    write_manifest(os.path.join(args.out, "samples.manifest"), "sample", entries,
+                   config_hash(entries), [path])
     print(path)
     return 0
 
@@ -373,9 +371,21 @@ def _repro_fig5(args):
     return tables
 
 
+def _parse_list(text, flag, valid, what):
+    """Comma-separated finite numbers for flag, each passing valid."""
+    try:
+        values = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        values = [float("nan")]
+    if not all(np.isfinite(v) and valid(v) for v in values):
+        raise ValueError(f"{flag} takes comma-separated {what}, got {text!r}")
+    return values
+
+
 def _repro_fig6(args):
-    samples_list = [int(float(tok)) for tok in args.sample_counts.split(",")]
-    deltas = [float(tok) for tok in args.deltas.split(",")]
+    samples_list = [int(m) for m in _parse_list(args.sample_counts, "--sample-counts",
+                                                lambda m: m >= 1 and m == int(m), "integers >= 1")]
+    deltas = _parse_list(args.deltas, "--deltas", lambda d: d > 0, "positive bin sizes")
     rows = []
     for tag, (ra, rb, sign) in (("a", (0.2, 0.2, +1)), ("b", (0.2, -0.2, -1))):
         for eta in (0.0, 0.1):
@@ -609,7 +619,7 @@ def main(argv=None):
             flags = load_config_file(args.config, args.parser)
             args = args.parser.parse_args(flags + argv[1:])
         return args.func(args)
-    except (ValueError, OSError, DegenerateStateError, UnphysicalCovarianceError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

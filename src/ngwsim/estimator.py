@@ -43,6 +43,8 @@ BLOCK = 1 << 14
 
 
 def _rng_for(seed, stream=0):
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     bitgen = np.random.Philox(seed)
     if stream:
         bitgen = bitgen.jumped(stream)
@@ -96,23 +98,15 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     No draw is rejected, so the acceptance rate is exactly 1.
     m must be an integer of at least 1; anything else raises ValueError.
     """
-    if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"sample count must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError("sample count must be at least 1")
+    if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"sample count must be an integer of at least 1, got {m!r}")
     density = measurement_pdf(state, basis)
     rng = _rng_for(seed, stream)
     v = rng.standard_normal((m, 2))
     _draw_components(rng, v, density.weights)
     pairs = v @ density.frame.T
     pairs += density.mean
-    return SampleSet(
-        pairs=pairs,
-        seed=seed,
-        spec=spec,
-        basis=basis,
-        acceptance_rate=1.0,
-    )
+    return SampleSet(pairs=pairs, seed=seed, spec=spec, basis=basis, acceptance_rate=1.0)
 
 
 def displace_samples(data, theta, sign=+1, delta=0.0):
@@ -336,9 +330,8 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     displaced halves are binned by _displaced_histograms. A grid needs at
     least 4 finite points and two distinct |theta|.
     """
-    if theta_grid is None:
-        theta_grid = default_theta_grid()
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    theta_grid = np.asarray(default_theta_grid() if theta_grid is None else theta_grid,
+                            dtype=float)
     if theta_grid.size < 4:
         raise ValueError("need at least 4 theta points for the parabola fit")
     if not np.isfinite(theta_grid).all():
@@ -501,11 +494,8 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
         stderr_mean = std / math.sqrt(reps)
         raw_se = float(raw_values.std(ddof=1)) / math.sqrt(reps)
     else:
-        std = float("nan")
-        stderr_mean = float("nan")
-        raw_se = float("nan")
-    if theory is None:
-        theory = float("nan")
+        std = stderr_mean = raw_se = float("nan")
+    theory = float("nan") if theory is None else theory
     over = bool(reps > 1 and np.isfinite(theory) and raw_mean - theory > 2.0 * raw_se)
     return ReplicateSummary(
         values=values,

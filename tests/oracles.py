@@ -6,14 +6,17 @@ polynomial products, using p -> -2i d/dx) or from trapezoid quadrature of the
 measured densities; the reference covariance comes from the noisy-projector
 construction; the lossy Fisher information has a one-dimensional rotated-mode
 oracle, by trapezoid quadrature and in closed form. The binned displaced
-family is integrated cell by cell from a density callable. Lossy states of
+family of the wavefunction density is exact in closed form: the density is
+three separable terms, so every cell probability and every edge flux is a
+sum of products of one-axis moments (erf and Gaussian edge differences),
+cross-checked against integrate_panels by the tests. Lossy states of
 any squeezing pair come from a truncated Fock-space density matrix
 (squeezed-vacuum amplitudes, photon subtraction, pure-loss Kraus operators),
 which gives homodyne Fisher information through Hermite functions,
 the mixed-state quantum Fisher information and the generator variances. The
 Fisher information of any family of measured densities comes from central
 differences of three density callables, integrated by adaptive 2-D
-Gauss-Legendre panels. The module uses numpy only and never imports ngwsim.
+Gauss-Legendre panels. The module imports only math and numpy, never ngwsim.
 """
 
 import math
@@ -212,75 +215,74 @@ def hellinger_sq_exact(density_a, density_b, n=1201, n_sigma=10.0):
 # --- binned displaced family -------------------------------------------------
 #
 # Cells are [k delta, (k + 1) delta) for integer k, the geometry bin_samples
-# uses; probabilities come from tensor Gauss-Legendre quadrature of a density
-# callable inside every cell. Four nodes per axis reproduce six to 1e-10 for
-# bins up to 0.2 on the r = 0.2 state.
-
-CELL_NODES = 4
-
-
-def _cell_nodes(delta, half_range):
-    """Gauss-Legendre abscissae and weights of every cell, shape (cells, nodes)."""
-    n_cells = int(round(2.0 * half_range / delta))
-    t, w = np.polynomial.legendre.leggauss(CELL_NODES)
-    edges = -half_range + delta * np.arange(n_cells + 1)
-    xs = edges[:-1, None] + 0.5 * delta * (1.0 + t)
-    return edges, xs, np.broadcast_to(0.5 * delta * w, xs.shape)
+# uses. The wavefunction density is (alpha x_A + beta x_B)^2 g_a(x_A) g_b(x_B)
+# over its norm, with g_c(x) = exp(-c x^2 / 2): three separable terms, so every
+# cell probability is a sum of products of one-axis cell moments
+# M_k = int x^k g_c(x) dx, exact in closed form.
 
 
-def _tensor_integrals(density, xs, wx, ys, wy):
-    """Sum of density * wx * wy over the nodes of every (x-cell, y-cell) pair,
-    evaluated in blocks of x-cells to bound memory."""
-    out = np.empty((xs.shape[0], ys.shape[0]))
-    flat_y, flat_wy = ys.ravel(), wy.ravel()
-    block = 64
-    for start in range(0, xs.shape[0], block):
-        bx, bw = xs[start:start + block].ravel(), wx[start:start + block].ravel()
-        gx, gy = np.meshgrid(bx, flat_y, indexing="ij")
-        vals = density(np.column_stack([gx.ravel(), gy.ravel()])).reshape(gx.shape)
-        vals = vals * bw[:, None] * flat_wy[None, :]
-        out[start:start + block] = vals.reshape(
-            -1, xs.shape[1], ys.shape[0], ys.shape[1]).sum(axis=(1, 3))
-    return out
+def _axis_terms(c, edges):
+    """Moments (M_0, M_1, M_2) of g = exp(-c x^2 / 2) over every cell between
+    consecutive edges, and the values (g, x g, x^2 g) at every edge."""
+    g = np.exp(-0.5 * c * edges**2)
+    root = math.sqrt(0.5 * c)
+    m0 = math.sqrt(math.pi) / (2.0 * root) * np.diff([math.erf(root * e) for e in edges])
+    m1 = -np.diff(g) / c  # g' = -c x g
+    m2 = (m0 - np.diff(edges * g)) / c  # (x g)' = g - c x^2 g
+    return (m0, m1, m2), (g, edges * g, edges**2 * g)
 
 
-def binned_probabilities(density, delta, half_range, shift=(0.0, 0.0)):
-    """Cell probabilities of the law of X - shift, X ~ density, on the
-    (2 half_range / delta)^2 grid of cells; half_range is a multiple of delta."""
-    _, xs, wx = _cell_nodes(delta, half_range)
-    return _tensor_integrals(density, xs + shift[0], wx, xs + shift[1], wx)
+def _cell_table(weights, fx, fy):
+    """[i, j] of w_AA fx_2 (x) fy_0 + w_AB fx_1 (x) fy_1 + w_BB fx_0 (x) fy_2:
+    cell probabilities from both axes' moments, or the density integrated
+    along cell edges when one axis gives its edge values."""
+    w_aa, w_ab, w_bb = weights
+    return (w_aa * np.outer(fx[2], fy[0]) + w_ab * np.outer(fx[1], fy[1])
+            + w_bb * np.outer(fx[0], fy[2]))
 
 
-def fi_binned(density, delta, half_range, direction):
+def _binned_terms(r_a, r_b, phi, delta, half_range, shift=(0.0, 0.0)):
+    """The weights (alpha^2, 2 alpha beta, beta^2) / norm and each axis's
+    _axis_terms for the cells of X - shift on the (2 half_range / delta)^2
+    grid; half_range is a multiple of delta."""
+    a, b, alpha, beta = wavefunction_coeffs(r_a, r_b, phi)
+    norm = _poly_gauss_integral({(2, 0): alpha**2, (0, 2): beta**2}, a, b)
+    edges = -half_range + delta * np.arange(int(round(2.0 * half_range / delta)) + 1)
+    weights = (alpha**2 / norm, 2.0 * alpha * beta / norm, beta**2 / norm)
+    return weights, _axis_terms(a, edges + shift[0]), _axis_terms(b, edges + shift[1])
+
+
+def binned_probabilities(r_a, r_b, phi, delta, half_range, shift=(0.0, 0.0)):
+    """Cell probabilities of the law of X - shift, X ~ wavefunction_density,
+    clipped at 0 against roundoff."""
+    weights, (mx, _), (my, _) = _binned_terms(r_a, r_b, phi, delta, half_range, shift)
+    return np.clip(_cell_table(weights, mx, my), 0.0, None)
+
+
+def fi_binned(r_a, r_b, phi, delta, half_range, direction):
     """Fisher information of the binned family theta -> P_cell(theta), where
     P_cell(theta) is the probability of X - theta d falling in the cell.
 
-    dP_cell/dtheta is the flux of density * d through the cell boundary, so it
-    needs only line integrals of the density along the cell edges.
+    dP_cell/dtheta is the flux of density * d through the cell boundary: the
+    density integrated along the cell edges, from one axis's edge values.
     """
-    edges, xs, wx = _cell_nodes(delta, half_range)
-    probs = _tensor_integrals(density, xs, wx, xs, wx)
-    on_edge, unit = edges[:, None], np.ones((len(edges), 1))
-    # [edge i, cell j]: the density integrated along x = edges[i] over y-cell j
-    across_x = _tensor_integrals(density, on_edge, unit, xs, wx)
-    # [cell i, edge j]: the density integrated along y = edges[j] over x-cell i
-    across_y = _tensor_integrals(density, xs, wx, on_edge, unit)
-    flux = (direction[0] * np.diff(across_x, axis=0)
-            + direction[1] * np.diff(across_y, axis=1))
+    weights, (mx, gx), (my, gy) = _binned_terms(r_a, r_b, phi, delta, half_range)
+    probs = np.clip(_cell_table(weights, mx, my), 0.0, None)
+    flux = (direction[0] * np.diff(_cell_table(weights, gx, my), axis=0)
+            + direction[1] * np.diff(_cell_table(weights, mx, gy), axis=1))
     keep = probs > 0.0
     return float(np.sum(flux[keep] ** 2 / probs[keep]))
 
 
-def binned_hellinger_curvature(density, delta, half_range, thetas, direction):
+def binned_hellinger_curvature(r_a, r_b, phi, delta, half_range, thetas, direction):
     """8 a of the unweighted least-squares fit c0 + a theta^2 to the squared
     Hellinger distances between the exact binned law and its displaced copies:
     the curvature the sampled estimator converges to as the sample grows."""
-    ref = np.sqrt(binned_probabilities(density, delta, half_range))
+    ref = np.sqrt(binned_probabilities(r_a, r_b, phi, delta, half_range))
     d2 = []
     for theta in thetas:
-        shifted = binned_probabilities(
-            density, delta, half_range,
-            shift=(theta * direction[0], theta * direction[1]))
+        shifted = binned_probabilities(r_a, r_b, phi, delta, half_range,
+                                       shift=(theta * direction[0], theta * direction[1]))
         d2.append(0.5 * np.sum((ref - np.sqrt(shifted)) ** 2))
     thetas = np.asarray(thetas, dtype=float)
     design = np.column_stack([np.ones_like(thetas), thetas**2])
@@ -292,19 +294,17 @@ def binned_witness_reference(r_a, r_b, phi, delta, thetas):
     """Witness the sampled estimator converges to at bin size delta:
     (E_ref, 8 a, Var p_A + Var p_B, half range).
 
-    8 a is binned_hellinger_curvature of the wavefunction density on cells at
-    multiples of delta over +-8 standard deviations, displaced along
-    x_A = x_B; the variances come from wavefunction_moment.
+    8 a is binned_hellinger_curvature on cells at multiples of delta over
+    +-8 standard deviations, displaced along x_A = x_B; the variances come
+    from wavefunction_moment.
     """
-    density = wavefunction_density(r_a, r_b, phi)
-
     def moment(**powers):
         return wavefunction_moment(r_a, r_b, phi, **powers)
 
     var_p = (moment(p_a=2) - moment(p_a=1) ** 2) + (moment(p_b=2) - moment(p_b=1) ** 2)
     spread = np.sqrt(max(moment(x_a=2), moment(x_b=2)))
     half = delta * np.ceil(8 * spread / delta)
-    f_fit = binned_hellinger_curvature(density, delta, half, thetas, (1.0, 1.0))
+    f_fit = binned_hellinger_curvature(r_a, r_b, phi, delta, half, thetas, (1.0, 1.0))
     return f_fit - var_p, f_fit, var_p, half
 
 

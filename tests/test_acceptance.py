@@ -44,7 +44,6 @@ from oracles import (
     fock_displacement_qfi,
     fock_p_variances,
     vnoisy_reference,
-    wavefunction_density,
 )
 from test_state import random_specs
 
@@ -178,8 +177,8 @@ def test_criterion_5_estimator_end_to_end():
     # unweighted parabola, minus the exact local variances.
     reference, f_fit, var_p, half = binned_witness_reference(
         spec.r_a, spec.r_b, spec.phi_sub, delta, default_theta_grid())
-    density = wavefunction_density(spec.r_a, spec.r_b, spec.phi_sub)
-    f_binned = fi_binned(density, delta, half, (1.0, 1.0))  # balanced x_A = x_B
+    # balanced x_A = x_B
+    f_binned = fi_binned(spec.r_a, spec.r_b, spec.phi_sub, delta, half, (1.0, 1.0))
     gap = abs(summary.mean - reference)
     ok = gap <= 3 * summary.std
     bias = summary.mean - reference

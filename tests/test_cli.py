@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ngwsim import SampleSet
+from ngwsim import SampleSet, replicate
 from ngwsim.cli import _HASH_READ, main, write_manifest
 
 
@@ -64,6 +64,13 @@ class TestAnalytic:
                        "--sa-range", "1:2:1", "--sb-range", "1:2:1", "--out", tmp_path) == 1
         assert "--delta-axis" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("phi", ["5", "-0.1", "nan"])
+    def test_phi_outside_its_range_is_an_error(self, tmp_path, capsys, phi):
+        # the rule and message of fi --phi, checked before the scan
+        assert run_cli("analytic", "--phi", phi, "--out", tmp_path / "o") == 1
+        assert "phi_sub must lie in [0, pi/2]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigFile:
@@ -200,7 +207,16 @@ class TestSampleEstimate:
         assert text[0] == "x_a,x_b"
         assert len(text) == 2001
         manifest = (out / "samples.manifest").read_text()
-        assert "acceptance-rate" in manifest and "sha256" in manifest
+        # every draw is accepted, so the manifest records no acceptance rate
+        assert "acceptance-rate" not in manifest and "sha256" in manifest
+
+    @pytest.mark.parametrize("args", [("sample", "--seed", "-1"),
+                                      ("reproduce", "fig5", "--seed", "-2")])
+    def test_negative_seed_is_an_error(self, tmp_path, capsys, args):
+        assert run_cli(*args, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a non-negative integer, got -")
+        assert not (tmp_path / "o").exists()
 
     def test_failed_sample_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys):
         def fail_midway(record, handle):
@@ -365,6 +381,39 @@ class TestReproduce:
                        "--sample-counts", "40000", "--deltas", "0.2") == 0
         _, rows = read_csv(out / "fig6_discretization.csv")
         assert len(rows) == 4  # two states x two loss values
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sample-counts", "2.7"), ("--sample-counts", "0"), ("--sample-counts", "-5"),
+        ("--sample-counts", "inf"), ("--sample-counts", "1000,many"),
+        ("--deltas", "0.2,0"), ("--deltas", "0.2,-0.1"), ("--deltas", "nan"),
+        ("--deltas", "0.2,"),
+    ])
+    def test_fig6_bad_list_is_an_error_before_any_replicate(self, tmp_path, monkeypatch,
+                                                            capsys, flag, value):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("replicate ran before the lists were checked")
+
+        monkeypatch.setattr("ngwsim.cli.replicate", no_replicate)
+        assert run_cli("reproduce", "fig6", "--reps", 1, flag, value,
+                       "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} takes comma-separated ")
+        assert not (tmp_path / "o").exists()
+
+    def test_fig6_sample_counts_in_exponent_form(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_replicate(spec, samples, reps, seed, **kwargs):
+            calls.append(samples)
+            return replicate(spec, 40, reps, seed, **kwargs)
+
+        monkeypatch.setattr("ngwsim.cli.replicate", fake_replicate)
+        out = tmp_path / "fig6"
+        assert run_cli("reproduce", "fig6", "--reps", 1, "--sample-counts", "1e6,2000000",
+                       "--deltas", "0.4", "--out", out) == 0
+        assert calls == [1000000, 2000000] * 4
+        assert all(isinstance(m, int) for m in calls)
+        _, rows = read_csv(out / "fig6_discretization.csv")
+        assert [row[4] for row in rows] == ["1000000", "2000000"] * 4
 
     @pytest.mark.parametrize("value", ["two", "-1", "1.5"])
     def test_invalid_threads_env_is_an_error(self, tmp_path, monkeypatch, capsys, value):

@@ -1,5 +1,7 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency, and the test oracles
+import nothing but math and numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +39,17 @@ def test_pyproject_lists_only_numpy():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
         deps = tomllib.load(handle)["project"]["dependencies"]
     assert [dep.split(">")[0].split("=")[0].strip() for dep in deps] == ["numpy"]
+
+
+def test_oracles_import_only_math_and_numpy():
+    # the oracles stay independent of ngwsim, and perfbench's checker loads
+    # the file on its own
+    with open(os.path.join(ROOT, "tests", "oracles.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy"}

@@ -113,6 +113,14 @@ class TestSampling:
         se_var = np.sqrt((fourth - var_x**2) / n)
         assert abs(record.pairs[:, 0].var(ddof=1) - var_x) < 5 * se_var
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_is_named(self, seed):
+        message = f"seed must be a non-negative integer, got {seed}"
+        with pytest.raises(ValueError, match=message):
+            sample(STATE, 10, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            replicate(SPEC, 100, 1, seed)
+
     def test_acceptance_rate_is_one(self):
         assert sample(STATE, 100, seed=1).acceptance_rate == 1.0
 

@@ -9,6 +9,7 @@ from ngwsim import (
     StateSpec,
     apply_loss,
     build_state,
+    default_theta_grid,
     fi_continuous,
     generator_covariance,
     generator_variance,
@@ -18,6 +19,8 @@ from ngwsim import (
 from oracles import (
     PanelBudgetError,
     binned_hellinger_curvature,
+    binned_probabilities,
+    binned_witness_reference,
     fi_binned,
     fi_lossy_symmetric_1d,
     fi_lossy_symmetric_exact,
@@ -28,6 +31,7 @@ from oracles import (
     fock_p_variances,
     integrate_panels,
     vnoisy_reference,
+    wavefunction_coeffs,
     wavefunction_density,
 )
 
@@ -93,10 +97,10 @@ class TestFockOracle:
 
 
 class TestBinnedOracle:
-    DENSITY = staticmethod(wavefunction_density(0.2, 0.2, np.pi / 4))
+    STATE = (0.2, 0.2, np.pi / 4)
 
     def test_binned_fi_rises_to_continuous(self):
-        values = np.array([fi_binned(self.DENSITY, delta, 8.0, (1.0, 1.0))
+        values = np.array([fi_binned(*self.STATE, delta, 8.0, (1.0, 1.0))
                            for delta in (0.2, 0.1, 0.05)])
         deficit = F_CONTINUOUS - values
         assert np.all(deficit > 0) and np.all(np.diff(deficit) < 0)
@@ -106,8 +110,43 @@ class TestBinnedOracle:
 
     def test_small_theta_curvature_is_binned_fi(self):
         thetas = np.linspace(-1e-3, 1e-3, 10)
-        curvature = binned_hellinger_curvature(self.DENSITY, 0.1, 8.0, thetas, (1.0, 1.0))
-        assert abs(curvature / fi_binned(self.DENSITY, 0.1, 8.0, (1.0, 1.0)) - 1.0) < 1e-4
+        curvature = binned_hellinger_curvature(*self.STATE, 0.1, 8.0, thetas, (1.0, 1.0))
+        assert abs(curvature / fi_binned(*self.STATE, 0.1, 8.0, (1.0, 1.0)) - 1.0) < 1e-4
+
+    def test_matches_cell_quadrature_references(self):
+        # values of tensor 4-point Gauss-Legendre quadrature inside every cell
+        for delta, expected in ((0.2, 7.7153599050725346), (0.1, 8.333188874998712),
+                                (0.05, 8.642534748749057)):
+            assert abs(fi_binned(*self.STATE, delta, 8.0, (1.0, 1.0)) / expected - 1.0) < 1e-9
+        for delta, expected in ((0.1, (2.4066445350577794, 8.373943325622863)),
+                                (0.02, (2.676997908358487, 8.64429669892357))):
+            values = binned_witness_reference(*self.STATE, delta, default_theta_grid())[:2]
+            assert np.all(np.abs(np.array(values) / expected - 1.0) < 1e-9)
+
+    @pytest.mark.parametrize("state", [STATE, (0.5, -0.3, 1.0)])
+    @pytest.mark.parametrize("delta", [0.1, 0.02])
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.013, -0.0071)])
+    def test_cells_match_panel_quadrature(self, state, delta, shift):
+        # the closed-form cells against the density integrated cell by cell,
+        # on cells the nodal line alpha x_A + beta x_B = 0 and the diagonal
+        # x_A = x_B cross. On the nodal line the three terms cancel, which
+        # scales the ~1e-14 rounding of the edge differences by (x_A / delta)^2:
+        # cells within 0.3 of the origin agree to 1e-10 relative, farther
+        # ones (1e-9 at x_A = 1, bin 0.02) to 1e-16 of the unit total.
+        _, _, alpha, beta = wavefunction_coeffs(*state)
+        half = 4.0
+        probs = binned_probabilities(*state, delta, half, shift)
+        density = wavefunction_density(*state)
+        edges = -half + delta * np.arange(probs.shape[0] + 1)
+        xs = np.linspace(-1.0, 1.0, 21)
+        for ys in (-alpha / beta * xs, xs):
+            for x, y in zip(xs, ys):
+                i, j = np.floor((np.array([x, y]) - shift + half) / delta).astype(int)
+                box = (edges[i] + shift[0], edges[i + 1] + shift[0],
+                       edges[j] + shift[1], edges[j + 1] + shift[1])
+                value, _ = integrate_panels(density, box, rel_tol=1e-13)
+                tol = 1e-10 * value if abs(x) < 0.3 + 1e-9 else 1e-16
+                assert abs(probs[i, j] - value) < tol
 
 
 class TestPanelQuadrature:
