@@ -82,6 +82,8 @@ def _parse_range(text):
     start, stop, step = map(float, parts)
     if not (np.isfinite([start, stop, step]).all() and step > 0):
         raise ValueError(f"range must be finite with a positive step, got {text!r}")
+    if stop < start:
+        raise ValueError(f"range must not stop below its start, got {text!r}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(n)
 
@@ -593,7 +595,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1, help="RNG seed")
     p.add_argument("--reps", type=int, default=30, help="number of replicates")
     p.add_argument("--bin", type=float, default=0.2, help="bin size")
-    p.add_argument("--range", type=float, help="binning half range (default: from the data)")
+    p.add_argument("--range", type=float,
+                   help="binning half range (default: 6 standard deviations of the "
+                        "state's wider x axis, rounded up to the bin)")
     generator_flags(p, +1)
     p.add_argument("--theta-max", type=float, default=0.05, help="largest displacement")
     p.add_argument("--theta-steps", type=int, default=20, help="grid points (even)")

@@ -5,7 +5,9 @@ exact joint density, split the record in half, bin reference and displaced
 probe halves, average squared Hellinger distances over a theta grid and fit a
 parabola whose curvature gives the Fisher information, bias-corrected for the
 finite sample and occupied-bin count. Randomness comes from the counter-based
-Philox generator, so replicate streams are splittable and order-independent.
+Philox generator: a replicate draws, bins and reduces its records block by
+block, each block from its own substream, so results are order-independent
+and memory does not grow with the sample count.
 """
 
 import math
@@ -41,6 +43,11 @@ class SampleSet:
 # bring back the memory peak of whole-record temporaries.
 BLOCK = 1 << 14
 
+# Pairs per block of the estimator: replicate draws its records this many
+# pairs at a time, each block from its own Philox substream, and every record
+# is binned and reduced a block at a time, so no step holds a whole record.
+STREAM_BLOCK = 1 << 16
+
 
 def _rng_for(seed, stream=0):
     if seed < 0:
@@ -49,6 +56,18 @@ def _rng_for(seed, stream=0):
     if stream:
         bitgen = bitgen.jumped(stream)
     return np.random.Generator(bitgen)
+
+
+def _block_stream(i, part, block):
+    """Substream of block number `block` of one part of replicate i: part 0
+    is the x record's reference half, 1 its probe half and 2 the p record.
+    It does not depend on the bin size; parts hold fewer than 2^32 blocks."""
+    return ((3 * i + part) << 32) + block
+
+
+def _check_count(m, least, what):
+    if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral) or m < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {m!r}")
 
 
 def _draw_components(rng, v, weights):
@@ -82,6 +101,15 @@ def _draw_components(rng, v, weights):
         v_flat[flat] = chi
 
 
+def _draw_pairs(density, rng, m):
+    """m pairs drawn from a JointDensity's mixture form (see sample)."""
+    v = rng.standard_normal((m, 2))
+    _draw_components(rng, v, density.weights)
+    pairs = v @ density.frame.T
+    pairs += density.mean
+    return pairs
+
+
 def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     """Draw m i.i.d. outcomes from the measured joint density.
 
@@ -98,14 +126,9 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     No draw is rejected, so the acceptance rate is exactly 1.
     m must be an integer of at least 1; anything else raises ValueError.
     """
-    if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral) or m < 1:
-        raise ValueError(f"sample count must be an integer of at least 1, got {m!r}")
+    _check_count(m, 1, "sample count")
     density = measurement_pdf(state, basis)
-    rng = _rng_for(seed, stream)
-    v = rng.standard_normal((m, 2))
-    _draw_components(rng, v, density.weights)
-    pairs = v @ density.frame.T
-    pairs += density.mean
+    pairs = _draw_pairs(density, _rng_for(seed, stream), m)
     return SampleSet(pairs=pairs, seed=seed, spec=spec, basis=basis, acceptance_rate=1.0)
 
 
@@ -144,6 +167,13 @@ def _finite_pairs(data):
     return pairs
 
 
+def _blocks(pairs, start=0, stop=None):
+    """Consecutive views of at most STREAM_BLOCK pairs of pairs[start:stop]."""
+    stop = len(pairs) if stop is None else stop
+    for s in range(start, stop, STREAM_BLOCK):
+        yield pairs[s:min(s + STREAM_BLOCK, stop)]
+
+
 def _flat_cells(columns, shift, delta, half_range, side, mark=None):
     """Flat indices into the padded (side, side) table of the pairs
     (columns[0] - shift[0], columns[1] - shift[1]).
@@ -176,79 +206,30 @@ def _flat_cells(columns, shift, delta, half_range, side, mark=None):
     return flat.astype(np.intp)
 
 
-def _table(padded, n_pairs, delta, half_range):
-    """BinnedHistogram of a padded (side, side) count table of n_pairs pairs."""
-    counts = np.ascontiguousarray(padded[1:-1, 1:-1])
-    total = int(counts.sum())
-    return BinnedHistogram(delta=float(delta), half_range=float(half_range), counts=counts,
-                           total=total, dropped=n_pairs - total)
+def _add_cells(table, flat):
+    """Count the flat cell indices into a flat padded table."""
+    table += np.bincount(flat, minlength=table.size)
 
 
-def _histogram(columns, shift, delta, half_range, n_bins):
-    """Histogram of the pairs (columns[0] - shift[0], columns[1] - shift[1]),
-    counted in one np.bincount pass over the cells of _flat_cells."""
-    side = n_bins + 2
-    flat = _flat_cells(columns, shift, delta, half_range, side)
-    return _table(np.bincount(flat, minlength=side * side).reshape(side, side),
-                  flat.size, delta, half_range)
-
-
-def _displaced_histograms(probe, thetas, direction, delta, half_range, n_bins):
-    """Histograms of the probe pairs (columns) as they are and displaced by
-    -theta * direction for each theta, re-binning only pairs a shift can move.
-
-    One pass per axis gives each pair's cell and its position within it.
-    Every theta of one sign moves a coordinate toward the same cell edge, by
-    at most reach = max |theta d_k| / delta (+1e-9, far above the roundoff
-    of a position inside the grid; pairs farther out stay clipped to the
-    border). A pair farther than reach from that edge on both axes keeps its
-    cell. The unshifted pass marks the other pairs of each sign, so the
-    positions are never stored; only the marked pairs are binned again, with
-    the exact steps of _flat_cells, and their counts replace their unshifted
-    ones. When a shift reaches a whole cell every pair is binned again and
-    nothing is marked.
-
-    Returns the unshifted histogram and an iterator over (k, histogram of
-    the pairs displaced by thetas[k]).
-    """
-    side = n_bins + 2
-    n_pairs = probe.shape[1]
-    groups = []
-    for group in (np.flatnonzero(thetas >= 0.0), np.flatnonzero(thetas < 0.0)):
-        if group.size:
-            shifts = np.outer(thetas[group], direction)
-            reach = np.abs(shifts).max(axis=0) / delta + 1e-9
-            near = None if reach.max() >= 1.0 else np.zeros(n_pairs, dtype=bool)
-            groups.append((group, shifts, reach, shifts.sum(axis=0) > 0.0, near))
-
-    def mark_near(axis, pos):
-        for _, _, reach, toward_lower, near in groups:
-            if near is not None:
-                r = reach[axis]
-                near |= pos < r if toward_lower[axis] else pos > 1.0 - r
-
-    flat0 = _flat_cells(probe, (0.0, 0.0), delta, half_range, side, mark_near)
-    table0 = np.bincount(flat0, minlength=side * side)
-
-    def displaced():
-        for group, shifts, _, _, near in groups:
-            if near is None:
-                columns, rest = probe, 0
-            else:
-                near = np.flatnonzero(near)
-                columns = probe.take(near, axis=1)
-                rest = table0 - np.bincount(flat0.take(near), minlength=side * side)
-            for k, shift in zip(group, shifts):
-                flat = _flat_cells(columns, shift, delta, half_range, side)
-                padded = rest + np.bincount(flat, minlength=side * side)
-                yield k, _table(padded.reshape(side, side), n_pairs, delta, half_range)
-
-    return _table(table0.reshape(side, side), n_pairs, delta, half_range), displaced()
+def _interior(table, side):
+    """The (side - 2, side - 2) grid cells of a flat padded table, a view."""
+    return table.reshape(side, side)[1:-1, 1:-1]
 
 
 def _check_bin_size(delta):
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"bin size delta must be positive and finite, got {delta!r}")
+
+
+def _grid_bins(delta, half_range):
+    """Bins per axis of the grid [-half_range, half_range)^2 of cell size
+    delta; raise ValueError unless delta is positive and finite and
+    half_range is a finite positive multiple of it."""
+    _check_bin_size(delta)
+    n_half = half_range / delta
+    if not (np.isfinite(half_range) and half_range > 0.0) or abs(n_half - round(n_half)) > 1e-9:
+        raise ValueError(f"half_range must be a finite positive multiple of delta: {half_range!r}")
+    return 2 * int(round(n_half))
 
 
 def bin_samples(data, delta, half_range):
@@ -258,20 +239,79 @@ def bin_samples(data, delta, half_range):
     about zero with an even number of bins per axis; out-of-range samples are
     dropped and counted. Non-finite pairs, delta or half_range raise ValueError.
     """
-    _check_bin_size(delta)
-    n_half = half_range / delta
-    if not (np.isfinite(half_range) and half_range > 0.0) or abs(n_half - round(n_half)) > 1e-9:
-        raise ValueError(f"half_range must be a finite positive multiple of delta: {half_range!r}")
+    side = _grid_bins(delta, half_range) + 2
     pairs = _finite_pairs(data)
-    return _histogram(pairs.T, (0.0, 0.0), delta, half_range, 2 * int(round(n_half)))
+    table = np.zeros(side * side, dtype=np.int64)
+    for block in _blocks(pairs):
+        _add_cells(table, _flat_cells(block.T, (0.0, 0.0), delta, half_range, side))
+    counts = np.ascontiguousarray(_interior(table, side))
+    total = int(counts.sum())
+    return BinnedHistogram(delta=float(delta), half_range=float(half_range), counts=counts,
+                           total=total, dropped=len(pairs) - total)
+
+
+class _Moments:
+    """Count, mean and central power sums M_2, M_3, M_4 of each column of a
+    stream of pair blocks.
+
+    Each block, of finite pairs, is reduced along its contiguous columns and
+    merged into the totals by the pairwise update of Chan, Golub & LeVeque
+    (1979), extended to the third and fourth powers (Pebay 2008).
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean = self.m2 = self.m3 = self.m4 = np.zeros(2)
+
+    def add(self, block):
+        columns = np.ascontiguousarray(block.T)
+        mean_b = columns.mean(axis=1)
+        dev = columns - mean_b[:, None]
+        sq = dev * dev
+        m2_b = sq.sum(axis=1)
+        m3_b = np.einsum("ij,ij->i", sq, dev)
+        m4_b = np.einsum("ij,ij->i", sq, sq)
+        n_a, n_b = float(self.n), float(columns.shape[1])
+        n = n_a + n_b
+        step = mean_b - self.mean
+        step_sq = step * step
+        cross = step_sq * n_a * n_b / n
+        self.m4 = (self.m4 + m4_b + cross * step_sq * (n_a * n_a - n_a * n_b + n_b * n_b) / (n * n)
+                   + 6.0 * step_sq * (n_a * n_a * m2_b + n_b * n_b * self.m2) / (n * n)
+                   + 4.0 * step * (n_a * m3_b - n_b * self.m3) / n)
+        self.m3 = (self.m3 + m3_b + cross * step * (n_a - n_b) / n
+                   + 3.0 * step * (n_a * m2_b - n_b * self.m2) / n)
+        self.m2 = self.m2 + m2_b + cross
+        self.mean = self.mean + step * (n_b / n)
+        self.n += columns.shape[1]
+
+    def variances(self):
+        """(sample variances, their standard errors) of the two columns: the
+        ddof=1 variance and sqrt((m_4 - var^2 (n - 3) / (n - 1)) / n), with
+        m_4 the fourth central moment."""
+        n = self.n
+        var = self.m2 / (n - 1)
+        se_sq = (self.m4 / n - var * var * (n - 3) / (n - 1)) / n
+        return var.tolist(), np.sqrt(np.maximum(se_sq, 0.0)).tolist()
+
+
+def _six_sigma(variance, delta):
+    """6 standard deviations, rounded up to a multiple of delta."""
+    return math.ceil(6.0 * math.sqrt(variance) / delta - 1e-9) * delta
 
 
 def default_half_range(data, delta):
-    """6 max-axis standard deviations, rounded up to a multiple of delta."""
-    pairs = _finite_pairs(data)
-    # one column at a time: a 1-D reduction is about 4x faster than axis=0 of (M, 2)
-    spread = 6.0 * max(pairs[:, 0].std(ddof=1), pairs[:, 1].std(ddof=1))
-    return math.ceil(spread / delta - 1e-9) * delta
+    """6 max-axis standard deviations of the record, rounded up to a multiple
+    of delta; a record whose spread rounds to 0 raises ValueError."""
+    moments = _Moments()
+    for block in _blocks(_finite_pairs(data)):
+        moments.add(block)
+    variance = max(moments.variances()[0])
+    half_range = _six_sigma(variance, delta) if variance > 0.0 else 0.0
+    if half_range == 0.0:
+        raise ValueError("sample record has zero spread, so it sets no binning half range; "
+                         "give half_range")
+    return half_range
 
 
 def hellinger_sq(ref, probe):
@@ -279,14 +319,21 @@ def hellinger_sq(ref, probe):
     if (ref.delta != probe.delta or ref.half_range != probe.half_range
             or ref.counts.shape != probe.counts.shape):
         raise ValueError("histograms must share the same binning geometry")
-    return _hellinger_sq(np.sqrt(ref.frequencies()), probe)
+    return _hellinger_sq(np.sqrt(ref.frequencies()), np.sqrt(probe.frequencies()))
 
 
-def _hellinger_sq(root_ref, probe):
-    """hellinger_sq with the reference's square-root frequencies given."""
-    diff = root_ref - np.sqrt(probe.frequencies())
+def _hellinger_sq(root_ref, root_probe):
+    """hellinger_sq of two tables' square-root frequencies."""
+    diff = root_ref - root_probe
     diff *= diff
     return 0.5 * float(np.sum(diff))
+
+
+def _root_frequencies(counts):
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("histogram holds no samples")
+    return np.sqrt(counts / total)
 
 
 def default_theta_grid(theta_max=0.05, steps=20):
@@ -298,6 +345,18 @@ def default_theta_grid(theta_max=0.05, steps=20):
     half = steps // 2
     pos = np.arange(1, half + 1) * (theta_max / half)
     return np.concatenate([-pos[::-1], pos])
+
+
+def _checked_grid(theta_grid):
+    """The theta grid as a float array (default_theta_grid() for None), after
+    checking it holds at least 4 finite points and two distinct |theta|."""
+    thetas = np.asarray(default_theta_grid() if theta_grid is None else theta_grid, dtype=float)
+    if thetas.size < 4:
+        raise ValueError("need at least 4 theta points for the parabola fit")
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta grid must be finite")
+    _check_distinct_squares(thetas)
+    return thetas
 
 
 @dataclass(frozen=True)
@@ -318,6 +377,107 @@ class HellingerFit:
     half_range: float
 
 
+class _HellingerTally:
+    """The count tables of one Hellinger fit, filled a block of pairs at a time.
+
+    Reference blocks are counted into one table; probe blocks into the
+    unshifted table and into one table per theta of the pairs displaced by
+    -theta * direction. Tables are flat padded tables (_flat_cells) of int32
+    counts, int64 above 2^31 pairs per half. Counts add up exactly, so the
+    tables and the fit do not depend on how the halves are cut into blocks.
+    Blocks must hold finite pairs; the callers check records.
+
+    A probe block re-bins only the pairs a shift can move. Every theta of one
+    sign moves a coordinate toward the same cell edge, by at most
+    reach = max |theta d_k| / delta (+1e-9, far above the roundoff of a
+    position inside the grid; pairs farther out stay clipped to the border).
+    The unshifted pass marks the pairs within reach of that edge on either
+    axis, so positions are never stored. The other pairs keep their cells and
+    go into the sign's kept table; the marked ones are binned again for each
+    theta, with the exact steps of _flat_cells, into that theta's moved table.
+    When a shift reaches a whole cell every pair is binned again and nothing
+    is kept.
+    """
+
+    def __init__(self, thetas, direction, delta, half_range, m_half):
+        side = _grid_bins(delta, half_range) + 2
+        cells = side * side
+        dtype = np.int32 if m_half <= np.iinfo(np.int32).max else np.int64
+        self.thetas, self.m_half = thetas, m_half
+        self.geometry = (delta, half_range, side)
+        self.reference = np.zeros(cells, dtype)
+        self.probe = np.zeros(cells, dtype)
+        self.moved = np.zeros((thetas.size, cells), dtype)
+        self.groups = []
+        for group in (np.flatnonzero(thetas >= 0.0), np.flatnonzero(thetas < 0.0)):
+            if group.size:
+                shifts = np.outer(thetas[group], direction)
+                reach = np.abs(shifts).max(axis=0) / delta + 1e-9
+                kept = None if reach.max() >= 1.0 else np.zeros(cells, dtype)
+                self.groups.append((group, shifts, reach, shifts.sum(axis=0) > 0.0, kept))
+
+    def add_reference(self, block):
+        _add_cells(self.reference, _flat_cells(block.T, (0.0, 0.0), *self.geometry))
+
+    def add_probe(self, block):
+        columns = np.ascontiguousarray(block.T)
+        near = [None if kept is None else np.zeros(columns.shape[1], dtype=bool)
+                for *_, kept in self.groups]
+
+        def mark_near(axis, pos):
+            for (_, _, reach, toward_lower, _), mask in zip(self.groups, near):
+                if mask is not None:
+                    r = reach[axis]
+                    mask |= pos < r if toward_lower[axis] else pos > 1.0 - r
+
+        flat0 = _flat_cells(columns, (0.0, 0.0), *self.geometry, mark_near)
+        _add_cells(self.probe, flat0)
+        for (group, shifts, _, _, kept), mask in zip(self.groups, near):
+            moving = columns
+            if kept is not None:
+                _add_cells(kept, flat0[~mask])
+                moving = columns.compress(mask, axis=1)
+            for k, shift in zip(group, shifts):
+                _add_cells(self.moved[k], _flat_cells(moving, shift, *self.geometry))
+
+    def displaced(self):
+        """(k, grid counts of the probe pairs displaced by thetas[k]) for
+        every k, sign group by sign group."""
+        side = self.geometry[2]
+        for group, _, _, _, kept in self.groups:
+            for k in group:
+                yield k, _interior(self.moved[k] if kept is None else self.moved[k] + kept, side)
+
+    def fit(self):
+        """HellingerFit of the tables: the squared Hellinger distance of each
+        displaced probe table from the reference, fit against c0 + a theta^2."""
+        delta, half_range, side = self.geometry
+        ref, probe = _interior(self.reference, side), _interior(self.probe, side)
+        if not (ref.any() and probe.any()):
+            raise ValueError("all samples fell outside the binning range")
+        n_occ = int(np.count_nonzero((ref > 0) | (probe > 0)))
+        root_ref = _root_frequencies(ref)
+        d2 = np.empty(self.thetas.size)
+        for k, counts in self.displaced():
+            d2[k] = _hellinger_sq(root_ref, _root_frequencies(counts))
+        c0_hat, a_hat, se_c0, se_a = parabola_fit(self.thetas, d2)
+        corr = 1.0 / 8.0 + (1.0 + n_occ) / (32.0 * self.m_half)
+        return HellingerFit(
+            thetas=self.thetas,
+            d2=d2,
+            c0_hat=c0_hat,
+            a_hat=a_hat,
+            n_occ=n_occ,
+            f_raw=8.0 * a_hat,
+            f_corrected=a_hat / corr,
+            stderr=se_a / corr,
+            stderr_c0=se_c0,
+            m_half=self.m_half,
+            delta=float(delta),
+            half_range=float(half_range),
+        )
+
+
 def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
                 delta_axis=0.0):
     """Hellinger-distance Fisher-information estimate from one sample record.
@@ -327,51 +487,25 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     squared Hellinger distance is fit against c0 + a theta^2. The curvature
     gives F_raw = 8 a and the bias-corrected value
     F = a / (1/8 + (1 + n)/(32 (M/2))) with n the occupied-bin count. The
-    displaced halves are binned by _displaced_histograms. A grid needs at
-    least 4 finite points and two distinct |theta|.
+    halves are fed block by block to _HellingerTally, the path replicate
+    streams its draws through. A grid needs at least 4 finite points and two
+    distinct |theta|. Without half_range the grid spans default_half_range.
     """
-    theta_grid = np.asarray(default_theta_grid() if theta_grid is None else theta_grid,
-                            dtype=float)
-    if theta_grid.size < 4:
-        raise ValueError("need at least 4 theta points for the parabola fit")
-    if not np.isfinite(theta_grid).all():
-        raise ValueError("theta grid must be finite")
-    _check_distinct_squares(theta_grid)
-    pairs = data.pairs
+    thetas = _checked_grid(theta_grid)
+    pairs = _finite_pairs(data)
     m_half = len(pairs) // 2
     if m_half < 1:
         raise ValueError("sample record too small to split")
     _check_bin_size(delta)
     if half_range is None:
         half_range = default_half_range(pairs, delta)
-    ref = bin_samples(pairs[:m_half], delta, half_range)
-    probe = np.ascontiguousarray(_finite_pairs(pairs[m_half:2 * m_half]).T)
-    direction = displacement_direction(sign, delta_axis)
-    probe0, displaced = _displaced_histograms(probe, theta_grid, direction, delta,
-                                              half_range, ref.n_bins)
-    if ref.total == 0 or probe0.total == 0:
-        raise ValueError("all samples fell outside the binning range")
-    n_occ = int(np.count_nonzero((ref.counts > 0) | (probe0.counts > 0)))
-    root_ref = np.sqrt(ref.frequencies())
-    d2 = np.empty(theta_grid.size)
-    for k, shifted in displaced:
-        d2[k] = _hellinger_sq(root_ref, shifted)
-    c0_hat, a_hat, se_c0, se_a = parabola_fit(theta_grid, d2)
-    corr = 1.0 / 8.0 + (1.0 + n_occ) / (32.0 * m_half)
-    return HellingerFit(
-        thetas=theta_grid,
-        d2=d2,
-        c0_hat=c0_hat,
-        a_hat=a_hat,
-        n_occ=n_occ,
-        f_raw=8.0 * a_hat,
-        f_corrected=a_hat / corr,
-        stderr=se_a / corr,
-        stderr_c0=se_c0,
-        m_half=m_half,
-        delta=float(delta),
-        half_range=float(half_range),
-    )
+    tally = _HellingerTally(thetas, displacement_direction(sign, delta_axis), delta,
+                            half_range, m_half)
+    for block in _blocks(pairs, 0, m_half):
+        tally.add_reference(block)
+    for block in _blocks(pairs, m_half, 2 * m_half):
+        tally.add_probe(block)
+    return tally.fit()
 
 
 def _check_distinct_squares(thetas):
@@ -399,19 +533,6 @@ def parabola_fit(thetas, d2):
             float(np.sqrt(param_cov[0, 0])), float(np.sqrt(param_cov[1, 1])))
 
 
-def _variance_with_error(values):
-    """Sample variance and its standard error from one centred pass; the
-    variance takes np.var's steps (ddof=1), so it equals np.var bit for bit."""
-    n = len(values)
-    centered = values - values.mean()
-    centered *= centered
-    var = float(centered.sum() / (n - 1))
-    centered *= centered
-    m4 = float(np.mean(centered))
-    se_sq = (m4 - var**2 * (n - 3) / (n - 1)) / n
-    return var, math.sqrt(max(se_sq, 0.0))
-
-
 @dataclass(frozen=True)
 class WitnessEstimate:
     e_value: float
@@ -423,16 +544,10 @@ class WitnessEstimate:
     var_pb_err: float
 
 
-def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
-                     half_range=None, sign=+1, delta_axis=0.0):
-    """Assemble E = F - 4 (Var H_A + Var H_B) from an x-basis record (Fisher
-    information via the Hellinger fit) and a companion p-basis record, with
-    4 Var H_k = d_k^2 Var p_k for the displacement direction d (var_pa and
-    var_pb hold the raw Var p_k). Errors combine in quadrature."""
-    fit = estimate_fi(x_data, theta_grid, delta, half_range, sign, delta_axis)
-    var_pa, err_a = _variance_with_error(p_data.pairs[:, 0])
-    var_pb, err_b = _variance_with_error(p_data.pairs[:, 1])
-    weight_a, weight_b = (displacement_direction(sign, delta_axis) ** 2).tolist()
+def _witness(fit, p_moments, direction):
+    """WitnessEstimate of a Hellinger fit and the running moments of a p record."""
+    (var_pa, var_pb), (err_a, err_b) = p_moments.variances()
+    weight_a, weight_b = (direction ** 2).tolist()
     e_value = fit.f_corrected - (weight_a * var_pa + weight_b * var_pb)
     stderr = math.sqrt(fit.stderr**2 + (weight_a * err_a)**2 + (weight_b * err_b)**2)
     return WitnessEstimate(
@@ -444,6 +559,20 @@ def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
         var_pa_err=err_a,
         var_pb_err=err_b,
     )
+
+
+def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
+                     half_range=None, sign=+1, delta_axis=0.0):
+    """Assemble E = F - 4 (Var H_A + Var H_B) from an x-basis record (Fisher
+    information via the Hellinger fit) and a companion p-basis record, with
+    4 Var H_k = d_k^2 Var p_k for the displacement direction d (var_pa and
+    var_pb hold the raw Var p_k, reduced block by block by _Moments). Errors
+    combine in quadrature."""
+    fit = estimate_fi(x_data, theta_grid, delta, half_range, sign, delta_axis)
+    p_moments = _Moments()
+    for block in _blocks(_finite_pairs(p_data)):
+        p_moments.add(block)
+    return _witness(fit, p_moments, displacement_direction(sign, delta_axis))
 
 
 @dataclass(frozen=True)
@@ -463,22 +592,47 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
               workers=None):
     """Run the full witness estimate on independent seeded replicates.
 
-    Each replicate draws its own x- and p-basis records of the given size from
-    split Philox streams, so results do not depend on execution order. The
-    overestimation flag marks configurations whose uncorrected witness exceeds
-    the theory value by more than twice the standard error of the mean; the
-    bias-corrected estimate removes most of that excess, so the raw value is
-    the sensitive diagnostic for the small-bin, few-samples regime.
+    Each replicate estimates from an x-basis and a p-basis record of the
+    given size but never holds one: the x record's reference half, its probe
+    half and the p record are drawn STREAM_BLOCK pairs at a time, block b of
+    part j of replicate i from the Philox substream _block_stream(i, j, b),
+    and each block is dropped once it is counted into the Hellinger tables
+    or the running moments of p. Without half_range the grid spans 6
+    standard deviations of the model's wider x axis, rounded up to delta.
+    Every argument is checked before the first draw. The overestimation flag
+    marks configurations whose uncorrected witness exceeds the theory value
+    by more than twice the standard error of the mean; the bias-corrected
+    estimate removes most of that excess, so the raw value is the sensitive
+    diagnostic for the small-bin, few-samples regime.
     """
+    _check_count(samples, 2, "samples per replicate")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    thetas = _checked_grid(theta_grid)
+    direction = displacement_direction(sign, delta_axis)
     state = build_state(spec)
+    x_density = measurement_pdf(state, X_BASIS)
+    p_density = measurement_pdf(state, P_BASIS)
+    _check_bin_size(delta)
+    if half_range is None:
+        half_range = _six_sigma(float(np.diag(x_density.covariance()).max()), delta)
+    m_half = samples // 2
+
+    def blocks(density, i, part, count):
+        for b, s in enumerate(range(0, count, STREAM_BLOCK)):
+            rng = _rng_for(seed, _block_stream(i, part, b))
+            yield _draw_pairs(density, rng, min(STREAM_BLOCK, count - s))
 
     def one(i):
-        x_data = sample(state, samples, seed, basis=X_BASIS, spec=spec, stream=2 * i)
-        p_data = sample(state, samples, seed, basis=P_BASIS, spec=spec, stream=2 * i + 1)
-        return estimate_witness(x_data, p_data, theta_grid, delta, half_range,
-                                sign, delta_axis)
+        tally = _HellingerTally(thetas, direction, delta, half_range, m_half)
+        for block in blocks(x_density, i, 0, m_half):
+            tally.add_reference(block)
+        for block in blocks(x_density, i, 1, m_half):
+            tally.add_probe(block)
+        p_moments = _Moments()
+        for block in blocks(p_density, i, 2, samples):
+            p_moments.add(block)
+        return _witness(tally.fit(), p_moments, direction)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -55,6 +55,20 @@ class TestAnalytic:
             f"error: range must be finite with a positive step, got {text!r}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag", ["--sa-range", "--sb-range"])
+    def test_range_stopping_below_its_start_is_an_error(self, tmp_path, capsys, flag):
+        assert run_cli("analytic", flag, "3:1:0.5", "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == \
+            "error: range must not stop below its start, got '3:1:0.5'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_one_point_range(self, tmp_path):
+        out = tmp_path / "a"
+        assert run_cli("analytic", "--sa-range", "2:2:0.5", "--sb-range", "1:2:1",
+                       "--out", out) == 0
+        _, rows = read_csv(out / "analytic_displacement.csv")
+        assert [row[:2] for row in rows] == [["2.0", "1.0"], ["2.0", "2.0"]]
+
     def test_unknown_generator(self, tmp_path, capsys):
         assert run_cli("analytic", "--scan", "warp", "--out", tmp_path) == 1
         assert "unknown generator" in capsys.readouterr().err
@@ -268,6 +282,17 @@ class TestSampleEstimate:
                        "--out", tmp_path / "e") == 1
         assert capsys.readouterr().err == \
             "error: theta grid needs a positive finite theta_max, got 0.0\n"
+        assert not (tmp_path / "e").exists()
+
+    def test_estimate_bad_range_fails_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a record was drawn before the inputs were checked")
+
+        monkeypatch.setattr("ngwsim.estimator._draw_pairs", no_draw)
+        assert run_cli("estimate", "--samples", 10**9, "--reps", 2, "--bin", 0.1,
+                       "--range", 0.15, "--out", tmp_path / "e") == 1
+        assert capsys.readouterr().err == \
+            "error: half_range must be a finite positive multiple of delta: 0.15\n"
         assert not (tmp_path / "e").exists()
 
     def test_estimate_deterministic(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -34,7 +35,7 @@ from ngwsim import (
     sample,
     save_samples_csv,
 )
-from ngwsim.estimator import BLOCK, _displaced_histograms, _histogram
+from ngwsim.estimator import BLOCK, STREAM_BLOCK, _HellingerTally, _block_stream, _interior
 
 from oracles import binned_witness_reference, grid_norm
 
@@ -120,6 +121,15 @@ class TestSampling:
             sample(STATE, 10, seed=seed)
         with pytest.raises(ValueError, match=message):
             replicate(SPEC, 100, 1, seed)
+
+    @pytest.mark.parametrize("basis, digest", [
+        (X_BASIS, "bee8dccefcd921f86669af683f1c7dcae30f18ae8467af7f2faab9b979dac16c"),
+        (P_BASIS, "8de56952808fba425c98b392f437d9b72fc34bfbeccb5c7b107cdec3c1ea4b40"),
+    ], ids=["x", "p"])
+    def test_pinned_record_digest(self, basis, digest):
+        # a change to the draw order or the substreams changes these bytes
+        record = sample(STATE, 100_001, seed=7, basis=basis, stream=3)
+        assert hashlib.sha256(record.pairs.tobytes()).hexdigest() == digest
 
     def test_acceptance_rate_is_one(self):
         assert sample(STATE, 100, seed=1).acceptance_rate == 1.0
@@ -295,22 +305,21 @@ class TestBinning:
             assert hist.dropped == len(pairs) - inside.sum()
 
     def test_one_pass_counts_equal_shifted_copy(self):
-        # estimate_fi bins probe - theta d without forming the shifted copy
+        # estimate_fi bins probe - theta d block by block without forming the
+        # shifted copy; each half spans two blocks
         record = sample(STATE, 200_000, seed=12)
         ref_pairs, probe = record.pairs[:100_000], record.pairs[100_000:]
+        assert STREAM_BLOCK < len(probe) < 2 * STREAM_BLOCK
         direction = np.array([1.0, 1.0])
         for delta in (0.05, 0.1, 0.4):
             fit = estimate_fi(record, delta=delta)
-            half, n_bins = fit.half_range, int(round(2 * fit.half_range / delta))
+            half = fit.half_range
             ref = bin_samples(ref_pairs, delta, half)
-            expected_d2 = []
-            for theta in fit.thetas:
-                one_pass = _histogram(probe.T, theta * direction, delta, half, n_bins)
-                copy = bin_samples(probe - theta * direction, delta, half)
-                assert np.array_equal(one_pass.counts, copy.counts)
-                assert one_pass.dropped == copy.dropped
-                expected_d2.append(hellinger_sq(ref, copy))
+            expected_d2 = [hellinger_sq(ref, bin_samples(probe - theta * direction, delta, half))
+                           for theta in fit.thetas]
             assert np.array_equal(fit.d2, expected_d2)
+            probe0 = bin_samples(probe, delta, half)
+            assert fit.n_occ == np.count_nonzero((ref.counts > 0) | (probe0.counts > 0))
 
     @pytest.mark.parametrize("delta, direction, grid", [
         # shifts of up to 2.5 cells
@@ -327,12 +336,15 @@ class TestBinning:
         probe[:6] = [[-6.0, 0.0], [5.99, -6.0], [6.0, 0.1], [-6.01, 5.999],
                      [6.03, -6.04], [0.0, 0.2]]
         thetas = np.asarray(grid, dtype=float)
-        base, displaced = _displaced_histograms(np.ascontiguousarray(probe.T), thetas,
-                                                direction, delta, 6.0, int(round(12.0 / delta)))
-        _assert_same_table(base, bin_samples(probe, delta, 6.0))
+        tally = _HellingerTally(thetas, direction, delta, 6.0, len(probe))
+        # uneven blocks, one of a single pair: the tables add up across them
+        for block in (probe[:7_000], probe[7_000:7_001], probe[7_001:]):
+            tally.add_probe(block)
+        side = int(round(12.0 / delta)) + 2
+        _assert_same_table(_interior(tally.probe, side), bin_samples(probe, delta, 6.0))
         seen = []
-        for k, hist in displaced:
-            _assert_same_table(hist, bin_samples(probe - thetas[k] * direction, delta, 6.0))
+        for k, counts in tally.displaced():
+            _assert_same_table(counts, bin_samples(probe - thetas[k] * direction, delta, 6.0))
             seen.append(k)
         assert sorted(seen) == list(range(thetas.size))
 
@@ -346,9 +358,9 @@ class TestBinning:
             assert half == math.ceil(spread / delta - 1e-9) * delta
 
 
-def _assert_same_table(hist, expected):
-    assert np.array_equal(hist.counts, expected.counts)
-    assert (hist.total, hist.dropped) == (expected.total, expected.dropped)
+def _assert_same_table(counts, expected):
+    assert np.array_equal(counts, expected.counts)
+    assert counts.sum() == expected.total
 
 
 class TestHellinger:
@@ -450,6 +462,19 @@ class TestEstimateFi:
         with pytest.raises(ValueError):
             estimate_fi(record, delta=0.1, half_range=1.0)
 
+    def test_zero_spread_record_named(self):
+        # no half range is given, so the error names the record, not a half range
+        with pytest.raises(ValueError, match="zero spread"):
+            estimate_fi(SampleSet(pairs=np.full((10, 2), 0.3)), delta=0.1)
+
+    def test_pinned_fit(self):
+        # the record spans two blocks per half; a change to the binning or the
+        # fit's arithmetic changes these bytes
+        fit = estimate_fi(sample(STATE, 100_001, seed=7, stream=3), delta=0.2)
+        assert (fit.n_occ, fit.half_range) == (939, 7.0)
+        assert hashlib.sha256(fit.d2.tobytes()).hexdigest() == \
+            "8693d5b4aaf1178f0a376f976f439ce881899556439b1c291f35be78997252b7"
+
     def test_correction_shrinks(self):
         record = sample(STATE, 400_000, seed=11)
         fit = estimate_fi(record, delta=0.1)
@@ -509,6 +534,59 @@ class TestReplicate:
         summary = replicate(SPEC, 40_000, 1, seed=5, delta=0.2)
         assert np.isnan(summary.std) and np.isnan(summary.stderr_mean)
         assert not summary.overestimated
+
+    def test_streams_one_substream_per_block(self):
+        # replicate 1 equals estimate_witness on records joined from its block
+        # draws: x reference half (part 0), x probe half (1) and p record (2),
+        # block b of each from substream _block_stream(1, part, b)
+        m = 2 * STREAM_BLOCK + 11
+        summary = replicate(SPEC, m, 2, seed=5, delta=0.2)
+
+        def joined(basis, part, count):
+            sizes = [min(STREAM_BLOCK, count - s) for s in range(0, count, STREAM_BLOCK)]
+            return SampleSet(pairs=np.concatenate([
+                sample(STATE, n, seed=5, basis=basis, stream=_block_stream(1, part, b)).pairs
+                for b, n in enumerate(sizes)]))
+
+        half = m // 2
+        x_data = SampleSet(pairs=np.concatenate([joined(X_BASIS, 0, half).pairs,
+                                                 joined(X_BASIS, 1, half).pairs]))
+        model = measurement_pdf(STATE).covariance()
+        half_range = math.ceil(6 * math.sqrt(np.diag(model).max()) / 0.2 - 1e-9) * 0.2
+        expected = estimate_witness(x_data, joined(P_BASIS, 2, m), delta=0.2,
+                                    half_range=half_range)
+        got = summary.estimates[1]
+        assert got.fit.half_range == half_range
+        assert np.array_equal(got.fit.d2, expected.fit.d2)
+        assert got.fit.f_corrected == expected.fit.f_corrected
+        np.testing.assert_allclose([got.var_pa, got.var_pb, got.var_pa_err, got.var_pb_err],
+                                   [expected.var_pa, expected.var_pb, expected.var_pa_err,
+                                    expected.var_pb_err], rtol=1e-14)
+
+    def test_streams_do_not_depend_on_bin_size(self):
+        coarse = replicate(SPEC, 20_000, 1, seed=5, delta=0.4)
+        fine = replicate(SPEC, 20_000, 1, seed=5, delta=0.1)
+        assert coarse.estimates[0].var_pa == fine.estimates[0].var_pa
+        assert coarse.estimates[0].fit.n_occ != fine.estimates[0].fit.n_occ
+
+    @pytest.mark.parametrize("samples, kwargs, message", [
+        (10**9, dict(delta=0.1, half_range=0.15), "half_range must be"),
+        (10**9, dict(delta=0.0), "bin size delta"),
+        (10**9, dict(delta=np.nan), "bin size delta"),
+        (10**9, dict(theta_grid=[0.01, 0.02, 0.03]), "at least 4 theta points"),
+        (10**9, dict(theta_grid=[0.01, -0.01, 0.01, -0.01]), "two distinct"),
+        (1, {}, "samples per replicate must be an integer of at least 2"),
+        (2.0, {}, "samples per replicate must be an integer"),
+    ], ids=["half-range", "zero-bin", "nan-bin", "short-grid", "one-abs-theta",
+            "one-sample", "float-count"])
+    def test_bad_input_fails_before_any_draw(self, monkeypatch, samples, kwargs, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a record was drawn before the inputs were checked")
+
+        monkeypatch.setattr("ngwsim.estimator._draw_pairs", no_draw)
+        monkeypatch.setattr("ngwsim.estimator.sample", no_draw)
+        with pytest.raises(ValueError, match=message):
+            replicate(SPEC, samples, 2, seed=5, **kwargs)
 
     def test_overestimation_flag_small_m_small_bin(self):
         # The raw witness converges to the binned reference E_ref(0.02) =

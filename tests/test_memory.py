@@ -1,9 +1,11 @@
-"""Memory bounds of the record path: sampling, writing and hashing.
+"""Memory bounds of the record path and of the estimator.
 
 tracemalloc counts numpy's buffers and Python objects alike, so these peaks
 are exact byte counts, not resident-set readings. The bounds scale with the
 record: sampling holds the normals and the output, about twice the record;
 writing and hashing hold one block, not a copy of the record or the file.
+The estimator holds its count tables and one block of pairs: a replicate
+never holds a record, and a fit of a record adds less than half of it.
 """
 
 import os
@@ -11,11 +13,12 @@ import tracemalloc
 
 import pytest
 
-from ngwsim import StateSpec, build_state, sample, save_samples_csv
+from ngwsim import StateSpec, build_state, estimate_fi, replicate, sample, save_samples_csv
 from ngwsim.cli import write_manifest
 
 M = 300_000
-STATE = build_state(StateSpec(0.2, 0.2, 0.1))
+SPEC = StateSpec(0.2, 0.2, 0.1)
+STATE = build_state(SPEC)
 
 
 @pytest.fixture
@@ -67,3 +70,18 @@ def test_manifest_hashes_without_reading_the_whole_file(traced, record_csv, tmp_
     _, peak = traced(lambda: write_manifest(tmp_path / "samples.manifest", "sample",
                                             {}, "0" * 12, [path]))
     assert peak <= 2_000_000
+
+
+def test_replicate_peak_does_not_grow_with_the_sample_count(traced):
+    replicate(SPEC, 1_000, 1, seed=1, delta=0.1)  # lazy imports of the first run
+    _, small = traced(lambda: replicate(SPEC, 500_000, 1, seed=2, delta=0.1))
+    _, large = traced(lambda: replicate(SPEC, 2_000_000, 1, seed=2, delta=0.1))
+    assert small <= 16_000_000
+    assert large <= 1.2 * small + 1_000_000
+
+
+def test_fit_adds_less_than_half_the_record(traced):
+    record = sample(STATE, 1_000_000, seed=4)
+    estimate_fi(sample(STATE, 1_000, seed=5))  # lazy imports of the first fit
+    _, peak = traced(lambda: estimate_fi(record, delta=0.1))
+    assert peak <= 0.5 * record.pairs.nbytes
