@@ -4,10 +4,11 @@ Reproduces the measurement-side procedure: draw homodyne outcomes from the
 exact joint density, split the record in half, bin reference and displaced
 probe halves, average squared Hellinger distances over a theta grid and fit a
 parabola whose curvature gives the Fisher information, bias-corrected for the
-finite sample and occupied-bin count. Randomness comes from the counter-based
-Philox generator: a replicate draws, bins and reduces its records block by
-block, each block from its own substream, so results are order-independent
-and memory does not grow with the sample count.
+finite sample and occupied-bin count. Every record comes from an SFC64
+generator keyed by the seed and a structural spawn key of numpy's
+SeedSequence: a replicate draws, bins and reduces its records block by
+block, each block from its own keyed stream, so results are
+order-independent and memory does not grow with the sample count.
 """
 
 import math
@@ -44,30 +45,41 @@ class SampleSet:
 BLOCK = 1 << 14
 
 # Pairs per block of the estimator: replicate draws its records this many
-# pairs at a time, each block from its own Philox substream, and every record
-# is binned and reduced a block at a time, so no step holds a whole record.
+# pairs at a time, each block from its own keyed stream, and every record is
+# binned and reduced a block at a time, so no step holds a whole record.
 STREAM_BLOCK = 1 << 16
 
 
-def _rng_for(seed, stream=0):
-    if seed < 0:
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
+def _check_seed(seed):
+    if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    bitgen = np.random.Philox(seed)
-    if stream:
-        bitgen = bitgen.jumped(stream)
-    return np.random.Generator(bitgen)
+    # SeedSequence pads a seed to its 128-bit pool and appends the key, so
+    # the high words of a larger seed would read as key entries
+    if seed >= 2**128:
+        raise ValueError(f"seed must be below 2**128, got {seed}")
 
 
-def _block_stream(i, part, block):
-    """Substream of block number `block` of one part of replicate i: part 0
-    is the x record's reference half, 1 its probe half and 2 the p record.
-    It does not depend on the bin size; parts hold fewer than 2^32 blocks."""
-    return ((3 * i + part) << 32) + block
+def _check_stream(stream):
+    # SeedSequence splits a larger key entry into 32-bit words, so (2**32,)
+    # would be the key (0, 1); below 2**32 keys of different lengths differ
+    if not (_is_integer(stream) and 0 <= stream < 2**32):
+        raise ValueError(f"stream must be a non-negative integer below 2**32, got {stream}")
 
 
 def _check_count(m, least, what):
-    if isinstance(m, (bool, np.bool_)) or not isinstance(m, numbers.Integral) or m < least:
+    if not (_is_integer(m) and m >= least):
         raise ValueError(f"{what} must be an integer of at least {least}, got {m!r}")
+
+
+def _rng_for(seed, key):
+    """Generator on SFC64, seeded by SeedSequence(seed, spawn_key=key). Keys
+    are structural: (stream,) for sample and (i, part, block) for replicate,
+    so a replicate block never repeats a sample record's stream."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _draw_components(rng, v, weights):
@@ -118,17 +130,21 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     component get that coordinate z replaced by sign(z) sqrt(z^2 + 2E),
     E ~ Exp(1), a signed chi-3 draw. The draws come in a fixed order
     (m normal pairs, m uniforms choosing the components, one exponential per
-    axis-component pair in record order), so the record is deterministic for
-    a given (seed, stream) pair, where nonzero streams select jumped Philox
-    substreams. Uniforms and exponentials are drawn BLOCK rows at a time;
-    Philox draws are sequential, so the blocks leave the stream unchanged and
-    the memory peak is the normals plus the output, about twice the record.
-    No draw is rejected, so the acceptance rate is exactly 1.
-    m must be an integer of at least 1; anything else raises ValueError.
+    axis-component pair in record order), all from one SFC64 generator keyed
+    by (seed, (stream,)) (_rng_for), so the record is deterministic for a
+    given (seed, stream) pair. Uniforms and exponentials are drawn BLOCK rows
+    at a time; a generator's draws are sequential, so the blocks leave the
+    stream unchanged and the memory peak is the normals plus the output,
+    about twice the record. No draw is rejected, so the acceptance rate is
+    exactly 1. m must be an integer of at least 1, seed a non-negative
+    integer below 2^128 and stream one below 2^32; anything else raises
+    ValueError.
     """
     _check_count(m, 1, "sample count")
+    _check_seed(seed)
+    _check_stream(stream)
     density = measurement_pdf(state, basis)
-    pairs = _draw_pairs(density, _rng_for(seed, stream), m)
+    pairs = _draw_pairs(density, _rng_for(seed, (stream,)), m)
     return SampleSet(pairs=pairs, seed=seed, spec=spec, basis=basis, acceptance_rate=1.0)
 
 
@@ -594,20 +610,23 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
 
     Each replicate estimates from an x-basis and a p-basis record of the
     given size but never holds one: the x record's reference half, its probe
-    half and the p record are drawn STREAM_BLOCK pairs at a time, block b of
-    part j of replicate i from the Philox substream _block_stream(i, j, b),
-    and each block is dropped once it is counted into the Hellinger tables
-    or the running moments of p. Without half_range the grid spans 6
-    standard deviations of the model's wider x axis, rounded up to delta.
-    Every argument is checked before the first draw. The overestimation flag
-    marks configurations whose uncorrected witness exceeds the theory value
-    by more than twice the standard error of the mean; the bias-corrected
-    estimate removes most of that excess, so the raw value is the sensitive
-    diagnostic for the small-bin, few-samples regime.
+    half and the p record are drawn STREAM_BLOCK pairs at a time. Block b of
+    part j of replicate i (part 0 is the x record's reference half, 1 its
+    probe half and 2 the p record) comes from the stream keyed (i, j, b)
+    (_rng_for), whatever the bin size, and is dropped once it is counted
+    into the Hellinger tables or the running moments of p. reps must be an
+    integer of at least 1 and seed a non-negative integer below 2^128. Without
+    half_range the grid spans 6 standard deviations of the model's wider x
+    axis, rounded up to delta. Every argument is checked before the first
+    draw. The overestimation flag marks configurations whose uncorrected
+    witness exceeds the theory value by more than twice the standard error
+    of the mean; the bias-corrected estimate removes most of that excess, so
+    the raw value is the sensitive diagnostic for the small-bin, few-samples
+    regime.
     """
     _check_count(samples, 2, "samples per replicate")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    _check_count(reps, 1, "reps")
+    _check_seed(seed)
     thetas = _checked_grid(theta_grid)
     direction = displacement_direction(sign, delta_axis)
     state = build_state(spec)
@@ -620,7 +639,7 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
 
     def blocks(density, i, part, count):
         for b, s in enumerate(range(0, count, STREAM_BLOCK)):
-            rng = _rng_for(seed, _block_stream(i, part, b))
+            rng = _rng_for(seed, (i, part, b))
             yield _draw_pairs(density, rng, min(STREAM_BLOCK, count - s))
 
     def one(i):

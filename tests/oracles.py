@@ -16,7 +16,9 @@ which gives homodyne Fisher information through Hermite functions,
 the mixed-state quantum Fisher information and the generator variances. The
 Fisher information of any family of measured densities comes from central
 differences of three density callables, integrated by adaptive 2-D
-Gauss-Legendre panels. The module imports only math and numpy, never ngwsim.
+Gauss-Legendre panels. The squared Hellinger distance between two binned
+records of the same law has an exact expectation, a binomial sum per cell.
+The module imports only math and numpy, never ngwsim.
 """
 
 import math
@@ -306,6 +308,29 @@ def binned_witness_reference(r_a, r_b, phi, delta, thetas):
     half = delta * np.ceil(8 * spread / delta)
     f_fit = binned_hellinger_curvature(r_a, r_b, phi, delta, half, thetas, (1.0, 1.0))
     return f_fit - var_p, f_fit, var_p, half
+
+
+def split_halves_hellinger_sq(probs, n):
+    """Expected squared Hellinger distance between the binned frequencies of
+    two independent records of n pairs each, all of them inside the grid:
+    1 - sum over cells of (E sqrt(k / n))^2 with k ~ Bin(n, P_cell). Each
+    expectation sums the binomial law, from log-factorials, over the mean
+    +- 12 standard deviations, and at least +- 12 counts, so cells with a
+    mean below 1 keep their Poisson-like tail."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    total = 0.0
+    for p in np.ravel(probs).tolist():
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"cell probability must lie in [0, 1), got {p!r}")
+        if p == 0.0:
+            continue
+        mean, reach = n * p, 12.0 * max(1.0, math.sqrt(n * p * (1.0 - p)))
+        k = np.arange(max(0, math.floor(mean - reach)), min(n, math.ceil(mean + reach)) + 1)
+        log_pmf = (log_fact[n] - log_fact[k] - log_fact[n - k]
+                   + k * math.log(p) + (n - k) * math.log1p(-p))
+        root_mean = float(np.exp(log_pmf) @ np.sqrt(k / n))
+        total += root_mean * root_mean
+    return 1.0 - total
 
 
 # --- truncated Fock-space model ------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,9 +36,10 @@ from ngwsim import (
     sample,
     save_samples_csv,
 )
-from ngwsim.estimator import BLOCK, STREAM_BLOCK, _HellingerTally, _block_stream, _interior
+from ngwsim.estimator import BLOCK, STREAM_BLOCK, _HellingerTally, _draw_pairs, _interior, _rng_for
 
-from oracles import binned_witness_reference, grid_norm
+from oracles import (binned_probabilities, binned_witness_reference, grid_norm,
+                     split_halves_hellinger_sq)
 
 SPEC = StateSpec(0.2, 0.2)
 STATE = build_state(SPEC)
@@ -46,13 +48,13 @@ LOSSY = apply_loss(build_state(StateSpec(0.3, -0.2, 0.6)), 0.3)
 
 def _searchsorted_sample(state, m, seed, basis, stream):
     """The mixture draw written out with np.searchsorted over the cumulative
-    weights and (row, column) fancy indexing. It fixes the order of the
-    Philox draws: m normal pairs, m uniforms, then one exponential per
+    weights and (row, column) fancy indexing. It fixes the generator, SFC64
+    seeded by SeedSequence(seed, spawn_key=(stream,)), and the order of its
+    draws: m normal pairs, m uniforms, then one exponential per
     axis-component pair in record order."""
     density = measurement_pdf(state, basis)
     weights, axes = density.weights, density.frame
-    bitgen = np.random.Philox(seed)
-    rng = np.random.Generator(bitgen.jumped(stream) if stream else bitgen)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
     v = rng.standard_normal((m, 2))
     comp = np.searchsorted(np.cumsum(weights)[:2], rng.random(m), side="right")
     rows = np.flatnonzero(comp)
@@ -114,7 +116,7 @@ class TestSampling:
         se_var = np.sqrt((fourth - var_x**2) / n)
         assert abs(record.pairs[:, 0].var(ddof=1) - var_x) < 5 * se_var
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7), True, 1.5])
     def test_negative_seed_is_named(self, seed):
         message = f"seed must be a non-negative integer, got {seed}"
         with pytest.raises(ValueError, match=message):
@@ -122,12 +124,29 @@ class TestSampling:
         with pytest.raises(ValueError, match=message):
             replicate(SPEC, 100, 1, seed)
 
+    @pytest.mark.parametrize("stream", [-1, True, np.True_, 1.0, 2**32])
+    def test_bad_stream_is_named(self, stream):
+        message = f"stream must be a non-negative integer below 2**32, got {stream}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample(STATE, 10, seed=1, stream=stream)
+
+    def test_seed_beyond_the_pool_is_named(self):
+        # with a larger seed, seed s + 2**128 and key (0,) would draw what
+        # seed s draws for key (1, 0)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be below 2**128, got {2**128}")):
+            sample(STATE, 10, seed=2**128)
+        assert len(sample(STATE, 10, seed=2**128 - 1)) == 10
+
+    def test_numpy_integer_seed_and_stream_accepted(self):
+        assert np.array_equal(sample(STATE, 7, seed=np.int64(3), stream=np.uint32(2)).pairs,
+                              sample(STATE, 7, seed=3, stream=2).pairs)
+
     @pytest.mark.parametrize("basis, digest", [
-        (X_BASIS, "bee8dccefcd921f86669af683f1c7dcae30f18ae8467af7f2faab9b979dac16c"),
-        (P_BASIS, "8de56952808fba425c98b392f437d9b72fc34bfbeccb5c7b107cdec3c1ea4b40"),
+        (X_BASIS, "205e74c4e7f62f24db49439b874739afeb2adf5e8e198ac25fa9e2d2ef755b5e"),
+        (P_BASIS, "540d1ce8b5955094f5d730bbc701bdfcb282d5743c2e4775555c04ded7ef4242"),
     ], ids=["x", "p"])
     def test_pinned_record_digest(self, basis, digest):
-        # a change to the draw order or the substreams changes these bytes
+        # a change to the draw order or the generator and its keys changes these bytes
         record = sample(STATE, 100_001, seed=7, basis=basis, stream=3)
         assert hashlib.sha256(record.pairs.tobytes()).hexdigest() == digest
 
@@ -471,9 +490,9 @@ class TestEstimateFi:
         # the record spans two blocks per half; a change to the binning or the
         # fit's arithmetic changes these bytes
         fit = estimate_fi(sample(STATE, 100_001, seed=7, stream=3), delta=0.2)
-        assert (fit.n_occ, fit.half_range) == (939, 7.0)
+        assert (fit.n_occ, fit.half_range) == (940, 7.0)
         assert hashlib.sha256(fit.d2.tobytes()).hexdigest() == \
-            "8693d5b4aaf1178f0a376f976f439ce881899556439b1c291f35be78997252b7"
+            "879b9368c15a2eb46a5f7585183fb04d5b5ad77b2113d27177b003ca7abe03a2"
 
     def test_correction_shrinks(self):
         record = sample(STATE, 400_000, seed=11)
@@ -538,14 +557,15 @@ class TestReplicate:
     def test_streams_one_substream_per_block(self):
         # replicate 1 equals estimate_witness on records joined from its block
         # draws: x reference half (part 0), x probe half (1) and p record (2),
-        # block b of each from substream _block_stream(1, part, b)
+        # block b of each from the stream keyed (1, part, b)
         m = 2 * STREAM_BLOCK + 11
         summary = replicate(SPEC, m, 2, seed=5, delta=0.2)
 
         def joined(basis, part, count):
             sizes = [min(STREAM_BLOCK, count - s) for s in range(0, count, STREAM_BLOCK)]
+            density = measurement_pdf(STATE, basis)
             return SampleSet(pairs=np.concatenate([
-                sample(STATE, n, seed=5, basis=basis, stream=_block_stream(1, part, b)).pairs
+                _draw_pairs(density, _rng_for(5, (1, part, b)), n)
                 for b, n in enumerate(sizes)]))
 
         half = m // 2
@@ -563,6 +583,17 @@ class TestReplicate:
                                    [expected.var_pa, expected.var_pb, expected.var_pa_err,
                                     expected.var_pb_err], rtol=1e-14)
 
+    def test_blocks_do_not_repeat_sample_streams(self):
+        # replicate keys have three entries and sample keys one, so no block
+        # of a replicate is a record sample draws for the same seed
+        records = [sample(STATE, STREAM_BLOCK, seed=5, stream=stream).pairs for stream in range(3)]
+        density = measurement_pdf(STATE, X_BASIS)
+        for i in range(2):
+            for part in range(2):
+                for b in range(3):
+                    block = _draw_pairs(density, _rng_for(5, (i, part, b)), STREAM_BLOCK)
+                    assert not any(np.array_equal(block, record) for record in records)
+
     def test_streams_do_not_depend_on_bin_size(self):
         coarse = replicate(SPEC, 20_000, 1, seed=5, delta=0.4)
         fine = replicate(SPEC, 20_000, 1, seed=5, delta=0.1)
@@ -577,8 +608,16 @@ class TestReplicate:
         (10**9, dict(theta_grid=[0.01, -0.01, 0.01, -0.01]), "two distinct"),
         (1, {}, "samples per replicate must be an integer of at least 2"),
         (2.0, {}, "samples per replicate must be an integer"),
+        (10**9, dict(reps=0), "reps must be an integer of at least 1"),
+        (10**9, dict(reps=True), "reps must be an integer of at least 1"),
+        (10**9, dict(reps=2.5), "reps must be an integer of at least 1"),
+        (10**9, dict(seed=-1), "seed must be a non-negative integer"),
+        (10**9, dict(seed=True), "seed must be a non-negative integer"),
+        (10**9, dict(seed=1.5), "seed must be a non-negative integer"),
+        (10**9, dict(seed=2**128), "seed must be below 2"),
     ], ids=["half-range", "zero-bin", "nan-bin", "short-grid", "one-abs-theta",
-            "one-sample", "float-count"])
+            "one-sample", "float-count", "zero-reps", "bool-reps", "float-reps",
+            "negative-seed", "bool-seed", "float-seed", "huge-seed"])
     def test_bad_input_fails_before_any_draw(self, monkeypatch, samples, kwargs, message):
         def no_draw(*args, **kwargs):
             raise AssertionError("a record was drawn before the inputs were checked")
@@ -586,16 +625,16 @@ class TestReplicate:
         monkeypatch.setattr("ngwsim.estimator._draw_pairs", no_draw)
         monkeypatch.setattr("ngwsim.estimator.sample", no_draw)
         with pytest.raises(ValueError, match=message):
-            replicate(SPEC, samples, 2, seed=5, **kwargs)
+            replicate(SPEC, samples, **{"reps": 2, "seed": 5, **kwargs})
 
     def test_overestimation_flag_small_m_small_bin(self):
         # The raw witness converges to the binned reference E_ref(0.02) =
         # 8.6443 - 5.9673 = 2.6770, not to the continuous 2 e^{0.4}; against
-        # it the uncorrected estimate at M = 1e6 overshoots by 3.8 standard
+        # it the uncorrected estimate at M = 1e6 overshoots by 3.9 standard
         # errors at seed 6. The flag is still a seeded statistical test: over
-        # seeds 6-16 it fired in 11 of 11 runs with the mixture sampler and
-        # 10 of 11 with the rejection sampler it replaced, so a seed has a
-        # false-failure rate of about 1 in 20.
+        # seeds 6-16 it fired in 11 of 11 runs, overshooting by 3.1 to 10.4
+        # standard errors (mean 5.6, sd 1.9), so a normal fit puts a seed's
+        # false-failure rate near 1 in 35.
         reference, *_ = binned_witness_reference(SPEC.r_a, SPEC.r_b, SPEC.phi_sub,
                                                  0.02, default_theta_grid())
         summary = replicate(SPEC, 1_000_000, 16, seed=6, delta=0.02, theory=reference)
@@ -609,21 +648,24 @@ class TestReplicate:
 
 
 class TestInterceptTheory:
-    def test_split_halves_distance_matches_counting_model(self):
-        # d2 between the two undisplaced halves ~ (n - 1)/(4 M/2)
-        values, theory = [], []
+    def test_split_halves_distance_matches_binomial_expectation(self):
+        # d2 between the two undisplaced halves of M/2 pairs each has the
+        # exact mean 1 - sum_cells (E sqrt(k / (M/2)))^2, k ~ Bin(M/2, P_cell):
+        # 2.047e-4, where the counting model (n - 1)/(4 M/2) gives 1.73e-4
+        values, half_ranges = [], set()
         for i in range(10):
             record = sample(STATE, 1_000_000, seed=33, stream=i)
             m_half = len(record.pairs) // 2
             half_range = default_half_range(record, 0.4)
+            half_ranges.add(half_range)
             ref = bin_samples(record.pairs[:m_half], 0.4, half_range)
             probe = bin_samples(record.pairs[m_half:2 * m_half], 0.4, half_range)
-            n_occ = int(np.count_nonzero((ref.counts > 0) | (probe.counts > 0)))
             values.append(hellinger_sq(ref, probe))
-            theory.append((n_occ - 1) / (4 * m_half))
+        (half_range,) = half_ranges
+        probs = binned_probabilities(SPEC.r_a, SPEC.r_b, SPEC.phi_sub, 0.4, half_range)
         values = np.array(values)
-        gap = abs(values.mean() - np.mean(theory))
-        assert gap <= 3 * values.std(ddof=1)
+        gap = abs(values.mean() - split_halves_hellinger_sq(probs, m_half))
+        assert gap <= 3 * values.std(ddof=1) / math.sqrt(values.size)
 
 
 class TestCsv:

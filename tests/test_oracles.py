@@ -1,6 +1,8 @@
 """Checks of the binned-family and Fock-space oracles against closed forms
 and against the package where the two must agree."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from oracles import (
     fock_generator_stats,
     fock_p_variances,
     integrate_panels,
+    split_halves_hellinger_sq,
     vnoisy_reference,
     wavefunction_coeffs,
     wavefunction_density,
@@ -147,6 +150,16 @@ class TestBinnedOracle:
                 value, _ = integrate_panels(density, box, rel_tol=1e-13)
                 tol = 1e-10 * value if abs(x) < 0.3 + 1e-9 else 1e-16
                 assert abs(probs[i, j] - value) < tol
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_split_halves_expectation_matches_full_binomial_sum(self, n):
+        # against every count 0..n with exact binomial coefficients, on cells
+        # of probability 2e-32 to 0.026
+        probs = binned_probabilities(*self.STATE, 0.4, 7.2)
+        roots = [sum(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * math.sqrt(k / n)
+                     for k in range(n + 1)) for p in probs.ravel().tolist()]
+        expected = 1.0 - sum(r * r for r in roots)
+        assert abs(split_halves_hellinger_sq(probs, n) - expected) < 1e-12
 
 
 class TestPanelQuadrature:
