@@ -386,7 +386,8 @@ def _parse_list(text, flag, valid, what):
 
 def _repro_fig6(args):
     samples_list = [int(m) for m in _parse_list(args.sample_counts, "--sample-counts",
-                                                lambda m: m >= 1 and m == int(m), "integers >= 1")]
+                                                lambda m: m >= 2 and m == int(m),
+                                                "integers of at least 2")]
     deltas = _parse_list(args.deltas, "--deltas", lambda d: d > 0, "positive bin sizes")
     rows = []
     for tag, (ra, rb, sign) in (("a", (0.2, 0.2, +1)), ("b", (0.2, -0.2, -1))):

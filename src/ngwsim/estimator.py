@@ -11,6 +11,7 @@ block, each block from its own keyed stream, so results are
 order-independent and memory does not grow with the sample count.
 """
 
+import functools
 import math
 import numbers
 import os
@@ -18,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -560,9 +562,10 @@ class WitnessEstimate:
     var_pb_err: float
 
 
-def _witness(fit, p_moments, direction):
-    """WitnessEstimate of a Hellinger fit and the running moments of a p record."""
-    (var_pa, var_pb), (err_a, err_b) = p_moments.variances()
+def _witness(fit, p_variances, direction):
+    """WitnessEstimate of a Hellinger fit and the (variances, standard errors)
+    of a p record (_Moments.variances)."""
+    (var_pa, var_pb), (err_a, err_b) = p_variances
     weight_a, weight_b = (direction ** 2).tolist()
     e_value = fit.f_corrected - (weight_a * var_pa + weight_b * var_pb)
     stderr = math.sqrt(fit.stderr**2 + (weight_a * err_a)**2 + (weight_b * err_b)**2)
@@ -588,7 +591,37 @@ def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
     p_moments = _Moments()
     for block in _blocks(_finite_pairs(p_data)):
         p_moments.add(block)
-    return _witness(fit, p_moments, displacement_direction(sign, delta_axis))
+    return _witness(fit, p_moments.variances(), displacement_direction(sign, delta_axis))
+
+
+def _blocks_drawn(density, seed, i, part, count):
+    """Part part of replicate i: count pairs drawn STREAM_BLOCK at a time,
+    block b from the stream keyed (i, part, b)."""
+    for b, s in enumerate(range(0, count, STREAM_BLOCK)):
+        yield _draw_pairs(density, _rng_for(seed, (i, part, b)), min(STREAM_BLOCK, count - s))
+
+
+def _p_variances(density, samples, seed, i):
+    """_Moments.variances of the p record of replicate i (part 2), reduced
+    once per (density, samples, seed, i): the record depends on nothing
+    else, so every bin size, sign, theta grid and half range shares it."""
+    return _cached_p_variances(density.weights.tobytes(), density.frame.tobytes(),
+                               density.mean.tobytes(), samples, seed, i)
+
+
+# The key is the bytes of what _draw_pairs reads of the density; only the
+# floats are kept. 1024 entries hold the default fig6's 4 states x 4 counts
+# x 30 replicates (480) at well under a megabyte.
+@functools.lru_cache(maxsize=1024)
+def _cached_p_variances(weights, frame, mean, samples, seed, i):
+    density = SimpleNamespace(weights=np.frombuffer(weights),
+                              frame=np.frombuffer(frame).reshape(2, 2),
+                              mean=np.frombuffer(mean))
+    moments = _Moments()
+    for block in _blocks_drawn(density, seed, i, 2, samples):
+        moments.add(block)
+    var, err = moments.variances()
+    return tuple(var), tuple(err)
 
 
 @dataclass(frozen=True)
@@ -614,11 +647,14 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
     part j of replicate i (part 0 is the x record's reference half, 1 its
     probe half and 2 the p record) comes from the stream keyed (i, j, b)
     (_rng_for), whatever the bin size, and is dropped once it is counted
-    into the Hellinger tables or the running moments of p. reps must be an
-    integer of at least 1 and seed a non-negative integer below 2^128. Without
-    half_range the grid spans 6 standard deviations of the model's wider x
-    axis, rounded up to delta. Every argument is checked before the first
-    draw. The overestimation flag marks configurations whose uncorrected
+    into the Hellinger tables or the running moments of p. The p record
+    reads neither the bin size nor the sign, theta grid or half range, so its
+    variances are reduced once per (p density, samples, seed, replicate) and
+    kept in a bounded cache (_p_variances) for every later call. reps must
+    be an integer of at least 1 and seed a non-negative integer below 2^128.
+    Without half_range the grid spans 6 standard deviations of the model's
+    wider x axis, rounded up to delta. Every argument is checked before the
+    first draw. The overestimation flag marks configurations whose uncorrected
     witness exceeds the theory value by more than twice the standard error
     of the mean; the bias-corrected estimate removes most of that excess, so
     the raw value is the sensitive diagnostic for the small-bin, few-samples
@@ -637,21 +673,13 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
         half_range = _six_sigma(float(np.diag(x_density.covariance()).max()), delta)
     m_half = samples // 2
 
-    def blocks(density, i, part, count):
-        for b, s in enumerate(range(0, count, STREAM_BLOCK)):
-            rng = _rng_for(seed, (i, part, b))
-            yield _draw_pairs(density, rng, min(STREAM_BLOCK, count - s))
-
     def one(i):
         tally = _HellingerTally(thetas, direction, delta, half_range, m_half)
-        for block in blocks(x_density, i, 0, m_half):
+        for block in _blocks_drawn(x_density, seed, i, 0, m_half):
             tally.add_reference(block)
-        for block in blocks(x_density, i, 1, m_half):
+        for block in _blocks_drawn(x_density, seed, i, 1, m_half):
             tally.add_probe(block)
-        p_moments = _Moments()
-        for block in blocks(p_density, i, 2, samples):
-            p_moments.add(block)
-        return _witness(tally.fit(), p_moments, direction)
+        return _witness(tally.fit(), _p_variances(p_density, samples, seed, i), direction)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

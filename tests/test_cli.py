@@ -424,6 +424,21 @@ class TestReproduce:
         assert capsys.readouterr().err.startswith(f"error: {flag} takes comma-separated ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["1", "1000,1"])
+    def test_fig6_count_below_two_is_an_error_before_any_run(self, tmp_path, monkeypatch,
+                                                             capsys, value):
+        # a replicate splits its x record in halves, so it needs 2 samples
+        def no_run(*args, **kwargs):
+            raise AssertionError("an FI or a replicate ran before the counts were checked")
+
+        monkeypatch.setattr("ngwsim.cli.replicate", no_run)
+        monkeypatch.setattr("ngwsim.cli._fi_witness", no_run)
+        assert run_cli("reproduce", "fig6", "--reps", 1, "--sample-counts", value,
+                       "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --sample-counts takes comma-separated integers of at least 2")
+        assert not (tmp_path / "o").exists()
+
     def test_fig6_sample_counts_in_exponent_form(self, tmp_path, monkeypatch):
         calls = []
 

@@ -36,7 +36,9 @@ from ngwsim import (
     sample,
     save_samples_csv,
 )
-from ngwsim.estimator import BLOCK, STREAM_BLOCK, _HellingerTally, _draw_pairs, _interior, _rng_for
+import ngwsim.estimator
+from ngwsim.estimator import (BLOCK, STREAM_BLOCK, _HellingerTally, _cached_p_variances,
+                              _draw_pairs, _interior, _rng_for)
 
 from oracles import (binned_probabilities, binned_witness_reference, grid_norm,
                      split_halves_hellinger_sq)
@@ -543,6 +545,26 @@ class TestWitnessPipeline:
         assert abs(est.fit.f_corrected - est.e_value - expected) < 5 * se
 
 
+@pytest.fixture
+def p_keys(monkeypatch):
+    """Keys of the p-record blocks (part 2) replicate draws, from an empty
+    p-moment cache on."""
+    keys = []
+
+    def recording(seed, key):
+        if len(key) == 3 and key[1] == 2:
+            keys.append(key)
+        return _rng_for(seed, key)
+
+    _cached_p_variances.cache_clear()
+    monkeypatch.setattr(ngwsim.estimator, "_rng_for", recording)
+    return keys
+
+
+def _p_fields(summary):
+    return [(e.var_pa, e.var_pb, e.var_pa_err, e.var_pb_err) for e in summary.estimates]
+
+
 class TestReplicate:
     def test_deterministic_and_order_independent(self):
         a = replicate(SPEC, 40_000, 3, seed=5, delta=0.2)
@@ -595,10 +617,58 @@ class TestReplicate:
                     assert not any(np.array_equal(block, record) for record in records)
 
     def test_streams_do_not_depend_on_bin_size(self):
+        # each call draws its p record: the cache is emptied in between
+        _cached_p_variances.cache_clear()
         coarse = replicate(SPEC, 20_000, 1, seed=5, delta=0.4)
+        _cached_p_variances.cache_clear()
         fine = replicate(SPEC, 20_000, 1, seed=5, delta=0.1)
         assert coarse.estimates[0].var_pa == fine.estimates[0].var_pa
         assert coarse.estimates[0].fit.n_occ != fine.estimates[0].fit.n_occ
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(delta=0.4), dict(sign=-1), dict(delta_axis=0.5),
+        dict(theta_grid=default_theta_grid(0.03, 8)), dict(half_range=4.0),
+    ], ids=["bin", "sign", "delta-axis", "theta-grid", "half-range"])
+    def test_p_record_drawn_once_for_every_fit_setting(self, p_keys, kwargs):
+        first = replicate(SPEC, 20_000, 2, seed=5, delta=0.2)
+        assert sorted(p_keys) == [(0, 2, 0), (1, 2, 0)]
+        p_keys.clear()
+        again = replicate(SPEC, 20_000, 2, seed=5, **{"delta": 0.2, **kwargs})
+        assert p_keys == []
+        assert _p_fields(again) == _p_fields(first)
+
+    def test_cached_p_moments_equal_a_cold_run(self, p_keys):
+        replicate(SPEC, 20_000, 2, seed=5, delta=0.4)
+        warm = replicate(SPEC, 20_000, 2, seed=5, delta=0.1)
+        assert p_keys == [(0, 2, 0), (1, 2, 0)] and _cached_p_variances.cache_info().hits == 2
+        _cached_p_variances.cache_clear()
+        cold = replicate(SPEC, 20_000, 2, seed=5, delta=0.1)
+        assert len(p_keys) == 4
+        assert _p_fields(warm) == _p_fields(cold)
+        assert np.array_equal(warm.values, cold.values)
+
+    @pytest.mark.parametrize("spec, samples, reps, seed, drawn", [
+        (SPEC, 20_000, 1, 6, [(0, 2, 0)]),
+        (SPEC, 20_002, 1, 5, [(0, 2, 0)]),
+        (SPEC, 20_000, 2, 5, [(1, 2, 0)]),
+        (StateSpec(0.2, 0.2, eta=0.1), 20_000, 1, 5, [(0, 2, 0)]),
+    ], ids=["seed", "count", "index", "state"])
+    def test_p_record_drawn_again_for_a_new_record(self, p_keys, spec, samples, reps, seed,
+                                                   drawn):
+        replicate(SPEC, 20_000, 1, seed=5, delta=0.2)
+        p_keys.clear()
+        replicate(spec, samples, reps, seed=seed, delta=0.2)
+        assert p_keys == drawn
+
+    def test_workers_equal_serial_with_a_cold_and_a_warm_cache(self, p_keys):
+        serial = replicate(SPEC, 20_000, 3, seed=5, delta=0.2)
+        _cached_p_variances.cache_clear()
+        cold = replicate(SPEC, 20_000, 3, seed=5, delta=0.2, workers=2)
+        warm = replicate(SPEC, 20_000, 3, seed=5, delta=0.2, workers=2)
+        assert sorted(p_keys) == [(i, 2, 0) for i in range(3) for _ in range(2)]
+        for run in (cold, warm):
+            assert np.array_equal(run.values, serial.values)
+            assert _p_fields(run) == _p_fields(serial)
 
     @pytest.mark.parametrize("samples, kwargs, message", [
         (10**9, dict(delta=0.1, half_range=0.15), "half_range must be"),
