@@ -66,12 +66,9 @@ def machine():
         info["mem_gb"] = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 1e9, 1)
     except (ValueError, OSError):
         pass
-    try:
-        import numpy
+    import numpy
 
-        info["numpy"] = numpy.__version__
-    except ImportError:
-        pass
+    info["numpy"] = numpy.__version__
     return info
 
 
@@ -96,8 +93,10 @@ def spread(values):
 def compare(pairs, better):
     """Per-metric summary of [(base result, change result)] pairs."""
     done = [(b, c) for b, c in pairs if b is not None and c is not None]
+    if not done:
+        return {}
     out = {}
-    for name, metric in done[0][1]["metrics"].items() if done else ():
+    for name, metric in done[0][1]["metrics"].items():
         base = [b["metrics"][name]["value"] for b, _ in done]
         change = [c["metrics"][name]["value"] for _, c in done]
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
