@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,15 +39,14 @@ class SampleSet:
         return len(self.pairs)
 
 
-# Rows per block of the sampler's uniform and exponential draws, of the
-# finiteness check and of the CSV writer. A block's temporaries stay near a
-# megabyte while the per-block overhead is negligible; blocks of 2^20 rows
-# bring back the memory peak of whole-record temporaries.
+# Rows per block of the finiteness check and of the CSV writer. A block's
+# temporaries stay near a megabyte while the per-block overhead is negligible.
 BLOCK = 1 << 14
 
-# Pairs per block of the estimator: replicate draws its records this many
+# Pairs per block of every drawn record: sample and replicate draw this many
 # pairs at a time, each block from its own keyed stream, and every record is
-# binned and reduced a block at a time, so no step holds a whole record.
+# binned and reduced a block at a time, so no step holds temporaries the size
+# of a record.
 STREAM_BLOCK = 1 << 16
 
 
@@ -79,49 +77,34 @@ def _check_count(m, least, what):
 
 def _rng_for(seed, key):
     """Generator on SFC64, seeded by SeedSequence(seed, spawn_key=key). Keys
-    are structural: (stream,) for sample and (i, part, block) for replicate,
-    so a replicate block never repeats a sample record's stream."""
+    are structural: (stream, block) for sample and (i, part, block) for
+    replicate, so a replicate block never repeats a sample record's stream."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _draw_components(rng, v, weights):
-    """Turn the (m, 2) standard normals v in place into draws of the mixture
-    with weights (c, d_1, d_2): m uniforms choose the components, then each
-    axis-component pair, in record order, takes one exponential. Both are
-    drawn BLOCK rows at a time, and only an int8 code per pair outlives a
-    block."""
-    m = len(v)
-    # 0 keeps the normal pair (uniform below c), 1 and 2 replace axis 1
-    # (below c + d_1) or axis 2 (above)
-    c, c_d1 = weights[0], weights[0] + weights[1]
-    code = np.empty(m, dtype=np.int8)
-    for s in range(0, m, BLOCK):
-        u = rng.random(min(BLOCK, m - s))
-        np.add(u >= c, u >= c_d1, out=code[s:s + BLOCK], dtype=np.int8)
-    v_flat = v.reshape(-1)
-    for s in range(0, m, BLOCK):
-        block = code[s:s + BLOCK]
-        rows = np.flatnonzero(block)
-        # flat index 2 row + axis into v of each axis-component pair
-        flat = 2 * rows
-        flat += block[rows]
-        flat += 2 * s - 1
-        z = v_flat[flat]
-        chi = rng.standard_exponential(flat.size)
-        chi *= 2.0
-        chi += z * z
-        np.sqrt(chi, out=chi)
-        np.copysign(chi, z, out=chi)
-        v_flat[flat] = chi
+def _draw_block(density, rng, n):
+    """(2, n) column block of n pairs drawn from a JointDensity's mixture
+    form (see sample): (2, n) standard normals, then n uniforms choosing each
+    pair's component and n exponentials, one per pair."""
+    v = rng.standard_normal((2, n))
+    u = rng.random(n)
+    two_e = rng.standard_exponential(n)
+    two_e *= 2.0
+    # a uniform below c keeps the normal pair; below c + d_1 it replaces
+    # axis 1, above it axis 2
+    c, c_d1 = density.weights[0], density.weights[0] + density.weights[1]
+    for z, chosen in zip(v, ((u >= c) & (u < c_d1), u >= c_d1)):
+        np.copyto(z, np.copysign(np.sqrt(z * z + two_e), z), where=chosen)
+    block = density.frame @ v
+    block += density.mean[:, None]
+    return block
 
 
-def _draw_pairs(density, rng, m):
-    """m pairs drawn from a JointDensity's mixture form (see sample)."""
-    v = rng.standard_normal((m, 2))
-    _draw_components(rng, v, density.weights)
-    pairs = v @ density.frame.T
-    pairs += density.mean
-    return pairs
+def _blocks_drawn(density, seed, key, count):
+    """count pairs as (2, n) column blocks of at most STREAM_BLOCK pairs,
+    block b drawn from the stream keyed key + (b,)."""
+    for b, s in enumerate(range(0, count, STREAM_BLOCK)):
+        yield _draw_block(density, _rng_for(seed, (*key, b)), min(STREAM_BLOCK, count - s))
 
 
 def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
@@ -130,23 +113,23 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     Exact sampling of the density's mixture form (JointDensity): every pair
     starts as a standard normal in the eigenframe; pairs drawn into an axis
     component get that coordinate z replaced by sign(z) sqrt(z^2 + 2E),
-    E ~ Exp(1), a signed chi-3 draw. The draws come in a fixed order
-    (m normal pairs, m uniforms choosing the components, one exponential per
-    axis-component pair in record order), all from one SFC64 generator keyed
-    by (seed, (stream,)) (_rng_for), so the record is deterministic for a
-    given (seed, stream) pair. Uniforms and exponentials are drawn BLOCK rows
-    at a time; a generator's draws are sequential, so the blocks leave the
-    stream unchanged and the memory peak is the normals plus the output,
-    about twice the record. No draw is rejected, so the acceptance rate is
-    exactly 1. m must be an integer of at least 1, seed a non-negative
-    integer below 2^128 and stream one below 2^32; anything else raises
-    ValueError.
+    E ~ Exp(1), a signed chi-3 draw. The record is drawn STREAM_BLOCK pairs
+    at a time, block b from one SFC64 generator keyed by (seed, (stream, b))
+    (_rng_for), in a fixed order: the block's normal pairs, one uniform per
+    pair choosing its component, then one exponential per pair. So the
+    record is deterministic for a given (seed, stream) pair, and the memory
+    peak is the record plus one block's temporaries. No draw is rejected, so
+    the acceptance rate is exactly 1. m must be an integer of at least 1,
+    seed a non-negative integer below 2^128 and stream one below 2^32;
+    anything else raises ValueError.
     """
     _check_count(m, 1, "sample count")
     _check_seed(seed)
     _check_stream(stream)
     density = measurement_pdf(state, basis)
-    pairs = _draw_pairs(density, _rng_for(seed, (stream,)), m)
+    pairs = np.empty((m, 2))
+    for s, block in zip(range(0, m, STREAM_BLOCK), _blocks_drawn(density, seed, (stream,), m)):
+        pairs[s:s + STREAM_BLOCK] = block.T
     return SampleSet(pairs=pairs, seed=seed, spec=spec, basis=basis, acceptance_rate=1.0)
 
 
@@ -186,10 +169,11 @@ def _finite_pairs(data):
 
 
 def _blocks(pairs, start=0, stop=None):
-    """Consecutive views of at most STREAM_BLOCK pairs of pairs[start:stop]."""
+    """Consecutive blocks of at most STREAM_BLOCK pairs of pairs[start:stop],
+    each as (2, n) contiguous columns, the layout of a drawn block."""
     stop = len(pairs) if stop is None else stop
     for s in range(start, stop, STREAM_BLOCK):
-        yield pairs[s:min(s + STREAM_BLOCK, stop)]
+        yield np.ascontiguousarray(pairs[s:min(s + STREAM_BLOCK, stop)].T)
 
 
 def _flat_cells(columns, shift, delta, half_range, side, mark=None):
@@ -261,7 +245,7 @@ def bin_samples(data, delta, half_range):
     pairs = _finite_pairs(data)
     table = np.zeros(side * side, dtype=np.int64)
     for block in _blocks(pairs):
-        _add_cells(table, _flat_cells(block.T, (0.0, 0.0), delta, half_range, side))
+        _add_cells(table, _flat_cells(block, (0.0, 0.0), delta, half_range, side))
     counts = np.ascontiguousarray(_interior(table, side))
     total = int(counts.sum())
     return BinnedHistogram(delta=float(delta), half_range=float(half_range), counts=counts,
@@ -270,7 +254,7 @@ def bin_samples(data, delta, half_range):
 
 class _Moments:
     """Count, mean and central power sums M_2, M_3, M_4 of each column of a
-    stream of pair blocks.
+    stream of (2, n) column blocks of pairs.
 
     Each block, of finite pairs, is reduced along its contiguous columns and
     merged into the totals by the pairwise update of Chan, Golub & LeVeque
@@ -281,8 +265,7 @@ class _Moments:
         self.n = 0
         self.mean = self.m2 = self.m3 = self.m4 = np.zeros(2)
 
-    def add(self, block):
-        columns = np.ascontiguousarray(block.T)
+    def add(self, columns):
         mean_b = columns.mean(axis=1)
         dev = columns - mean_b[:, None]
         sq = dev * dev
@@ -396,7 +379,8 @@ class HellingerFit:
 
 
 class _HellingerTally:
-    """The count tables of one Hellinger fit, filled a block of pairs at a time.
+    """The count tables of one Hellinger fit, filled a (2, n) column block of
+    pairs at a time.
 
     Reference blocks are counted into one table; probe blocks into the
     unshifted table and into one table per theta of the pairs displaced by
@@ -434,11 +418,10 @@ class _HellingerTally:
                 kept = None if reach.max() >= 1.0 else np.zeros(cells, dtype)
                 self.groups.append((group, shifts, reach, shifts.sum(axis=0) > 0.0, kept))
 
-    def add_reference(self, block):
-        _add_cells(self.reference, _flat_cells(block.T, (0.0, 0.0), *self.geometry))
+    def add_reference(self, columns):
+        _add_cells(self.reference, _flat_cells(columns, (0.0, 0.0), *self.geometry))
 
-    def add_probe(self, block):
-        columns = np.ascontiguousarray(block.T)
+    def add_probe(self, columns):
         near = [None if kept is None else np.zeros(columns.shape[1], dtype=bool)
                 for *_, kept in self.groups]
 
@@ -594,31 +577,16 @@ def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
     return _witness(fit, p_moments.variances(), displacement_direction(sign, delta_axis))
 
 
-def _blocks_drawn(density, seed, i, part, count):
-    """Part part of replicate i: count pairs drawn STREAM_BLOCK at a time,
-    block b from the stream keyed (i, part, b)."""
-    for b, s in enumerate(range(0, count, STREAM_BLOCK)):
-        yield _draw_pairs(density, _rng_for(seed, (i, part, b)), min(STREAM_BLOCK, count - s))
-
-
-def _p_variances(density, samples, seed, i):
-    """_Moments.variances of the p record of replicate i (part 2), reduced
-    once per (density, samples, seed, i): the record depends on nothing
-    else, so every bin size, sign, theta grid and half range shares it."""
-    return _cached_p_variances(density.weights.tobytes(), density.frame.tobytes(),
-                               density.mean.tobytes(), samples, seed, i)
-
-
-# The key is the bytes of what _draw_pairs reads of the density; only the
-# floats are kept. 1024 entries hold the default fig6's 4 states x 4 counts
-# x 30 replicates (480) at well under a megabyte.
+# The p record of replicate i (part 2) depends on the state, the sample
+# count, the seed and i alone, so every bin size, sign, theta grid and half
+# range shares it; only the floats are kept. 1024 entries hold the default
+# fig6's 4 states x 4 counts x 30 replicates (480) at well under a megabyte.
 @functools.lru_cache(maxsize=1024)
-def _cached_p_variances(weights, frame, mean, samples, seed, i):
-    density = SimpleNamespace(weights=np.frombuffer(weights),
-                              frame=np.frombuffer(frame).reshape(2, 2),
-                              mean=np.frombuffer(mean))
+def _p_variances(spec, samples, seed, i):
+    """_Moments.variances of the p record of replicate i of spec, as tuples."""
+    density = measurement_pdf(build_state(spec), P_BASIS)
     moments = _Moments()
-    for block in _blocks_drawn(density, seed, i, 2, samples):
+    for block in _blocks_drawn(density, seed, (i, 2), samples):
         moments.add(block)
     var, err = moments.variances()
     return tuple(var), tuple(err)
@@ -649,9 +617,11 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
     (_rng_for), whatever the bin size, and is dropped once it is counted
     into the Hellinger tables or the running moments of p. The p record
     reads neither the bin size nor the sign, theta grid or half range, so its
-    variances are reduced once per (p density, samples, seed, replicate) and
-    kept in a bounded cache (_p_variances) for every later call. reps must
-    be an integer of at least 1 and seed a non-negative integer below 2^128.
+    variances are reduced once per (spec, samples, seed, replicate) and kept
+    in a bounded cache (_p_variances) for every later call. reps must be an
+    integer of at least 1, seed a non-negative integer below 2^128 and
+    workers None or a non-negative integer; above 1 the replicates run on
+    that many threads, with the same results.
     Without half_range the grid spans 6 standard deviations of the model's
     wider x axis, rounded up to delta. Every argument is checked before the
     first draw. The overestimation flag marks configurations whose uncorrected
@@ -663,11 +633,12 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
     _check_count(samples, 2, "samples per replicate")
     _check_count(reps, 1, "reps")
     _check_seed(seed)
+    if not (workers is None or (_is_integer(workers) and workers >= 0)):
+        raise ValueError(f"workers must be None or a non-negative integer, got {workers!r}")
     thetas = _checked_grid(theta_grid)
     direction = displacement_direction(sign, delta_axis)
     state = build_state(spec)
     x_density = measurement_pdf(state, X_BASIS)
-    p_density = measurement_pdf(state, P_BASIS)
     _check_bin_size(delta)
     if half_range is None:
         half_range = _six_sigma(float(np.diag(x_density.covariance()).max()), delta)
@@ -675,11 +646,11 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
 
     def one(i):
         tally = _HellingerTally(thetas, direction, delta, half_range, m_half)
-        for block in _blocks_drawn(x_density, seed, i, 0, m_half):
+        for block in _blocks_drawn(x_density, seed, (i, 0), m_half):
             tally.add_reference(block)
-        for block in _blocks_drawn(x_density, seed, i, 1, m_half):
+        for block in _blocks_drawn(x_density, seed, (i, 1), m_half):
             tally.add_probe(block)
-        return _witness(tally.fit(), _p_variances(p_density, samples, seed, i), direction)
+        return _witness(tally.fit(), _p_variances(spec, samples, seed, i), direction)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -288,7 +288,7 @@ class TestSampleEstimate:
         def no_draw(*args, **kwargs):
             raise AssertionError("a record was drawn before the inputs were checked")
 
-        monkeypatch.setattr("ngwsim.estimator._draw_pairs", no_draw)
+        monkeypatch.setattr("ngwsim.estimator._draw_block", no_draw)
         assert run_cli("estimate", "--samples", 10**9, "--reps", 2, "--bin", 0.1,
                        "--range", 0.15, "--out", tmp_path / "e") == 1
         assert capsys.readouterr().err == \

@@ -37,8 +37,8 @@ from ngwsim import (
     save_samples_csv,
 )
 import ngwsim.estimator
-from ngwsim.estimator import (BLOCK, STREAM_BLOCK, _HellingerTally, _cached_p_variances,
-                              _draw_pairs, _interior, _rng_for)
+from ngwsim.estimator import (BLOCK, STREAM_BLOCK, _HellingerTally, _draw_block, _interior,
+                              _p_variances, _rng_for)
 
 from oracles import (binned_probabilities, binned_witness_reference, grid_norm,
                      split_halves_hellinger_sq)
@@ -50,20 +50,27 @@ LOSSY = apply_loss(build_state(StateSpec(0.3, -0.2, 0.6)), 0.3)
 
 def _searchsorted_sample(state, m, seed, basis, stream):
     """The mixture draw written out with np.searchsorted over the cumulative
-    weights and (row, column) fancy indexing. It fixes the generator, SFC64
-    seeded by SeedSequence(seed, spawn_key=(stream,)), and the order of its
-    draws: m normal pairs, m uniforms, then one exponential per
-    axis-component pair in record order."""
+    weights and (axis, column) fancy indexing. It fixes the generator, SFC64
+    seeded by SeedSequence(seed, spawn_key=(stream, b)) for block b of
+    STREAM_BLOCK pairs, and the order of each block's draws: n normal pairs
+    as (2, n) columns, n uniforms, then n exponentials, one per pair, of
+    which the axis-component pairs use theirs."""
     density = measurement_pdf(state, basis)
     weights, axes = density.weights, density.frame
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
-    v = rng.standard_normal((m, 2))
-    comp = np.searchsorted(np.cumsum(weights)[:2], rng.random(m), side="right")
-    rows = np.flatnonzero(comp)
-    cols = comp[rows] - 1
-    z = v[rows, cols]
-    v[rows, cols] = np.copysign(np.sqrt(z * z + 2.0 * rng.standard_exponential(rows.size)), z)
-    return v @ axes.T + density.mean
+    blocks = []
+    for b, s in enumerate(range(0, m, STREAM_BLOCK)):
+        n = min(STREAM_BLOCK, m - s)
+        key = (stream, b)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+        v = rng.standard_normal((2, n))
+        comp = np.searchsorted(np.cumsum(weights)[:2], rng.random(n), side="right")
+        exponentials = rng.standard_exponential(n)
+        cols = np.flatnonzero(comp)
+        rows = comp[cols] - 1
+        z = v[rows, cols]
+        v[rows, cols] = np.copysign(np.sqrt(z * z + 2.0 * exponentials[cols]), z)
+        blocks.append((axes @ v + density.mean[:, None]).T)
+    return np.concatenate(blocks)
 
 
 class TestSampling:
@@ -101,11 +108,21 @@ class TestSampling:
     ], ids=["pure-xx", "lossy", "lossy-nonlocal", "mixed-basis"])
     @pytest.mark.parametrize("stream", [0, 5])
     def test_stream_matches_searchsorted_reference(self, state, basis, stream):
-        # the draws come in blocks of BLOCK rows: counts on and across their edges
-        for m in (1, 4_999, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
+        # the draws come in blocks of STREAM_BLOCK pairs: counts on and
+        # across their edges
+        for m in (1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 7):
             record = sample(state, m, seed=17, basis=basis, stream=stream)
             assert np.array_equal(record.pairs,
                                   _searchsorted_sample(state, m, 17, basis, stream))
+
+    @pytest.mark.parametrize("m", [1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 7])
+    def test_record_is_its_keyed_blocks(self, m):
+        # sample and replicate draw through one block function; sample keys
+        # block b of stream s by (s, b)
+        density = measurement_pdf(LOSSY, X_BASIS)
+        sizes = [min(STREAM_BLOCK, m - s) for s in range(0, m, STREAM_BLOCK)]
+        blocks = [_draw_block(density, _rng_for(9, (4, b)), n).T for b, n in enumerate(sizes)]
+        assert np.array_equal(sample(LOSSY, m, seed=9, stream=4).pairs, np.concatenate(blocks))
 
     def test_moments_match_theory(self):
         record = sample(STATE, 300_000, seed=7)
@@ -144,8 +161,8 @@ class TestSampling:
                               sample(STATE, 7, seed=3, stream=2).pairs)
 
     @pytest.mark.parametrize("basis, digest", [
-        (X_BASIS, "205e74c4e7f62f24db49439b874739afeb2adf5e8e198ac25fa9e2d2ef755b5e"),
-        (P_BASIS, "540d1ce8b5955094f5d730bbc701bdfcb282d5743c2e4775555c04ded7ef4242"),
+        (X_BASIS, "cdbafa88034b0547fa80dfb738acde17fb8b5181e72234311cd3126b37bbcb2b"),
+        (P_BASIS, "eeed2d53c67c05d0b88aa137fc3259da73cfd06f5075535da722b057bfc535c5"),
     ], ids=["x", "p"])
     def test_pinned_record_digest(self, basis, digest):
         # a change to the draw order or the generator and its keys changes these bytes
@@ -360,7 +377,7 @@ class TestBinning:
         tally = _HellingerTally(thetas, direction, delta, 6.0, len(probe))
         # uneven blocks, one of a single pair: the tables add up across them
         for block in (probe[:7_000], probe[7_000:7_001], probe[7_001:]):
-            tally.add_probe(block)
+            tally.add_probe(np.ascontiguousarray(block.T))
         side = int(round(12.0 / delta)) + 2
         _assert_same_table(_interior(tally.probe, side), bin_samples(probe, delta, 6.0))
         seen = []
@@ -492,9 +509,9 @@ class TestEstimateFi:
         # the record spans two blocks per half; a change to the binning or the
         # fit's arithmetic changes these bytes
         fit = estimate_fi(sample(STATE, 100_001, seed=7, stream=3), delta=0.2)
-        assert (fit.n_occ, fit.half_range) == (940, 7.0)
+        assert (fit.n_occ, fit.half_range) == (945, 7.0)
         assert hashlib.sha256(fit.d2.tobytes()).hexdigest() == \
-            "879b9368c15a2eb46a5f7585183fb04d5b5ad77b2113d27177b003ca7abe03a2"
+            "41889032aa280124f4fc3a526b2c344fb4fcc44d3752b19fd2ba3eda594403c4"
 
     def test_correction_shrinks(self):
         record = sample(STATE, 400_000, seed=11)
@@ -514,8 +531,8 @@ class TestEstimateFi:
 
 class TestWitnessPipeline:
     def test_lossless_detection(self):
-        x_data = sample(STATE, 600_000, seed=31)
-        p_data = sample(STATE, 600_000, seed=31, basis=P_BASIS, stream=1)
+        x_data = sample(STATE, 600_000, seed=32)
+        p_data = sample(STATE, 600_000, seed=32, basis=P_BASIS, stream=1)
         est = estimate_witness(x_data, p_data, delta=0.1)
         assert est.e_value > 0
         assert abs(est.var_pa - 2 * np.exp(0.4)) < 5 * est.var_pa_err
@@ -556,7 +573,7 @@ def p_keys(monkeypatch):
             keys.append(key)
         return _rng_for(seed, key)
 
-    _cached_p_variances.cache_clear()
+    _p_variances.cache_clear()
     monkeypatch.setattr(ngwsim.estimator, "_rng_for", recording)
     return keys
 
@@ -587,7 +604,7 @@ class TestReplicate:
             sizes = [min(STREAM_BLOCK, count - s) for s in range(0, count, STREAM_BLOCK)]
             density = measurement_pdf(STATE, basis)
             return SampleSet(pairs=np.concatenate([
-                _draw_pairs(density, _rng_for(5, (1, part, b)), n)
+                _draw_block(density, _rng_for(5, (1, part, b)), n).T
                 for b, n in enumerate(sizes)]))
 
         half = m // 2
@@ -613,14 +630,14 @@ class TestReplicate:
         for i in range(2):
             for part in range(2):
                 for b in range(3):
-                    block = _draw_pairs(density, _rng_for(5, (i, part, b)), STREAM_BLOCK)
+                    block = _draw_block(density, _rng_for(5, (i, part, b)), STREAM_BLOCK).T
                     assert not any(np.array_equal(block, record) for record in records)
 
     def test_streams_do_not_depend_on_bin_size(self):
         # each call draws its p record: the cache is emptied in between
-        _cached_p_variances.cache_clear()
+        _p_variances.cache_clear()
         coarse = replicate(SPEC, 20_000, 1, seed=5, delta=0.4)
-        _cached_p_variances.cache_clear()
+        _p_variances.cache_clear()
         fine = replicate(SPEC, 20_000, 1, seed=5, delta=0.1)
         assert coarse.estimates[0].var_pa == fine.estimates[0].var_pa
         assert coarse.estimates[0].fit.n_occ != fine.estimates[0].fit.n_occ
@@ -640,8 +657,8 @@ class TestReplicate:
     def test_cached_p_moments_equal_a_cold_run(self, p_keys):
         replicate(SPEC, 20_000, 2, seed=5, delta=0.4)
         warm = replicate(SPEC, 20_000, 2, seed=5, delta=0.1)
-        assert p_keys == [(0, 2, 0), (1, 2, 0)] and _cached_p_variances.cache_info().hits == 2
-        _cached_p_variances.cache_clear()
+        assert p_keys == [(0, 2, 0), (1, 2, 0)] and _p_variances.cache_info().hits == 2
+        _p_variances.cache_clear()
         cold = replicate(SPEC, 20_000, 2, seed=5, delta=0.1)
         assert len(p_keys) == 4
         assert _p_fields(warm) == _p_fields(cold)
@@ -662,7 +679,7 @@ class TestReplicate:
 
     def test_workers_equal_serial_with_a_cold_and_a_warm_cache(self, p_keys):
         serial = replicate(SPEC, 20_000, 3, seed=5, delta=0.2)
-        _cached_p_variances.cache_clear()
+        _p_variances.cache_clear()
         cold = replicate(SPEC, 20_000, 3, seed=5, delta=0.2, workers=2)
         warm = replicate(SPEC, 20_000, 3, seed=5, delta=0.2, workers=2)
         assert sorted(p_keys) == [(i, 2, 0) for i in range(3) for _ in range(2)]
@@ -685,14 +702,19 @@ class TestReplicate:
         (10**9, dict(seed=True), "seed must be a non-negative integer"),
         (10**9, dict(seed=1.5), "seed must be a non-negative integer"),
         (10**9, dict(seed=2**128), "seed must be below 2"),
+        (10**9, dict(workers=2.5), "workers must be None or a non-negative integer"),
+        (10**9, dict(workers=-1), "workers must be None or a non-negative integer"),
+        (10**9, dict(workers=True), "workers must be None or a non-negative integer"),
+        (10**9, dict(workers="2"), "workers must be None or a non-negative integer"),
     ], ids=["half-range", "zero-bin", "nan-bin", "short-grid", "one-abs-theta",
             "one-sample", "float-count", "zero-reps", "bool-reps", "float-reps",
-            "negative-seed", "bool-seed", "float-seed", "huge-seed"])
+            "negative-seed", "bool-seed", "float-seed", "huge-seed", "float-workers",
+            "negative-workers", "bool-workers", "str-workers"])
     def test_bad_input_fails_before_any_draw(self, monkeypatch, samples, kwargs, message):
         def no_draw(*args, **kwargs):
             raise AssertionError("a record was drawn before the inputs were checked")
 
-        monkeypatch.setattr("ngwsim.estimator._draw_pairs", no_draw)
+        monkeypatch.setattr("ngwsim.estimator._draw_block", no_draw)
         monkeypatch.setattr("ngwsim.estimator.sample", no_draw)
         with pytest.raises(ValueError, match=message):
             replicate(SPEC, samples, **{"reps": 2, "seed": 5, **kwargs})
@@ -724,7 +746,7 @@ class TestInterceptTheory:
         # 2.047e-4, where the counting model (n - 1)/(4 M/2) gives 1.73e-4
         values, half_ranges = [], set()
         for i in range(10):
-            record = sample(STATE, 1_000_000, seed=33, stream=i)
+            record = sample(STATE, 1_000_000, seed=34, stream=i)
             m_half = len(record.pairs) // 2
             half_range = default_half_range(record, 0.4)
             half_ranges.add(half_range)

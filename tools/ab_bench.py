@@ -11,9 +11,21 @@ working tree is never touched. Pair k runs the base first when k is even
 and the change first when it is odd. For every metric perfbench reports, the
 output records each side's runs, median and quartiles (inclusive method),
 the median's relative change and the pairs the change won; ties count for
-neither side, and "better" comes from the change's BENCHMARK.json. Runs of
-another seed, workload or --trace setting append to an existing output file
-of the same two commits.
+neither side, and "better" comes from the change's BENCHMARK.json. Pairs in
+which either side failed are dropped from the statistics but still count
+among the pairs run. Each end-to-end metric also gets three verdicts, with
+its bound from BENCHMARK.json:
+
+- gain_shown: the change won at least 9 in 10 of the pairs run, and its
+  median is better than the parent's by more than the parent's IQR;
+- regressed: the change's median is worse than the parent's by more than
+  the bound, relative to the parent's median;
+- unresolved: the parent's IQR over its median exceeds the bound, and the
+  runs do not separate (some run of the change reads no better than some
+  run of the parent).
+
+Runs of another seed, workload or --trace setting append to an existing
+output file of the same two commits.
 """
 
 import argparse
@@ -90,8 +102,24 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def compare(pairs, better):
-    """Per-metric summary of [(base result, change result)] pairs."""
+def verdicts(entry, bound, pairs_run):
+    """The gain, regression and resolution verdicts of one end-to-end metric
+    (see the module docstring); the bound is relative to the parent's median."""
+    sign = -1.0 if entry["better"] == "lower" else 1.0
+    base, change = entry["base"], entry["change"]
+    gain = sign * (change["median"] - base["median"])
+    worse = -gain / abs(base["median"]) if base["median"] else 0.0
+    base_spread = base["iqr"] / abs(base["median"]) if base["median"] else 0.0
+    separated = min(sign * v for v in change["runs"]) > max(sign * v for v in base["runs"])
+    return {"gain_shown": 10 * entry["pairs_won"] >= 9 * pairs_run and gain > base["iqr"],
+            "regressed": worse > bound,
+            "unresolved": base_spread > bound and not separated}
+
+
+def compare(pairs, better, bounds=None):
+    """Per-metric summary of [(base result, change result)] pairs, a failed
+    run being None; metrics named in bounds also get their verdicts."""
+    bounds = bounds or {}
     done = [(b, c) for b, c in pairs if b is not None and c is not None]
     if not done:
         return {}
@@ -108,6 +136,8 @@ def compare(pairs, better):
         entry["median_change_pct"] = 100.0 * (c_med - b_med) / b_med if b_med else None
         entry["median_gap_over_base_iqr"] = (abs(c_med - b_med) / entry["base"]["iqr"]
                                              if entry["base"]["iqr"] else None)
+        if name in bounds:
+            entry["verdicts"] = verdicts(entry, bounds[name], len(pairs))
         out[name] = entry
     return out
 
@@ -147,8 +177,9 @@ def main(argv=None):
             export(rev, roots[side])
             report[side]["src_lines"] = src_lines(roots[side])
         with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
-            section = json.load(handle)["per_layer" if args.trace else "end_to_end"]
-        better = {m["name"]: m["better"] for m in section}
+            benchmark = json.load(handle)
+        better = {m["name"]: m["better"] for m in benchmark["per_layer"] + benchmark["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
         for workload in args.workloads.split(","):
             pairs = []
             for k in range(args.pairs):
@@ -167,7 +198,7 @@ def main(argv=None):
                 "trace": args.trace, "pairs": args.pairs,
                 "correct": {side: [None if r is None else r["correct"] for r in runs]
                             for side, runs in zip(("base", "change"), zip(*pairs))},
-                "metrics": compare(pairs, better),
+                "metrics": compare(pairs, better, bounds),
             })
     finally:
         shutil.rmtree(work, ignore_errors=True)
