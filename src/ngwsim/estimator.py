@@ -169,11 +169,11 @@ def _finite_pairs(data):
 
 
 def _blocks(pairs, start=0, stop=None):
-    """Consecutive blocks of at most STREAM_BLOCK pairs of pairs[start:stop],
-    each as (2, n) contiguous columns, the layout of a drawn block."""
+    """Consecutive (2, n) column views of at most STREAM_BLOCK pairs of
+    pairs[start:stop], the layout of a drawn block."""
     stop = len(pairs) if stop is None else stop
     for s in range(start, stop, STREAM_BLOCK):
-        yield np.ascontiguousarray(pairs[s:min(s + STREAM_BLOCK, stop)].T)
+        yield pairs[s:min(s + STREAM_BLOCK, stop)].T
 
 
 def _flat_cells(columns, shift, delta, half_range, side, mark=None):
@@ -306,7 +306,7 @@ def default_half_range(data, delta):
     of delta; a record whose spread rounds to 0 raises ValueError."""
     moments = _Moments()
     for block in _blocks(_finite_pairs(data)):
-        moments.add(block)
+        moments.add(np.ascontiguousarray(block))
     variance = max(moments.variances()[0])
     half_range = _six_sigma(variance, delta) if variance > 0.0 else 0.0
     if half_range == 0.0:
@@ -573,7 +573,7 @@ def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
     fit = estimate_fi(x_data, theta_grid, delta, half_range, sign, delta_axis)
     p_moments = _Moments()
     for block in _blocks(_finite_pairs(p_data)):
-        p_moments.add(block)
+        p_moments.add(np.ascontiguousarray(block))
     return _witness(fit, p_moments.variances(), displacement_direction(sign, delta_axis))
 
 
