@@ -301,13 +301,18 @@ def _six_sigma(variance, delta):
     return math.ceil(6.0 * math.sqrt(variance) / delta - 1e-9) * delta
 
 
-def default_half_range(data, delta):
-    """6 max-axis standard deviations of the record, rounded up to a multiple
-    of delta; a record whose spread rounds to 0 raises ValueError."""
+def _record_variances(data):
+    """_Moments.variances of a record, reduced a contiguous block at a time."""
     moments = _Moments()
     for block in _blocks(_finite_pairs(data)):
         moments.add(np.ascontiguousarray(block))
-    variance = max(moments.variances()[0])
+    return moments.variances()
+
+
+def default_half_range(data, delta):
+    """6 max-axis standard deviations of the record, rounded up to a multiple
+    of delta; a record whose spread rounds to 0 raises ValueError."""
+    variance = max(_record_variances(data)[0])
     half_range = _six_sigma(variance, delta) if variance > 0.0 else 0.0
     if half_range == 0.0:
         raise ValueError("sample record has zero spread, so it sets no binning half range; "
@@ -571,10 +576,7 @@ def estimate_witness(x_data, p_data, theta_grid=None, delta=0.1,
     var_pb hold the raw Var p_k, reduced block by block by _Moments). Errors
     combine in quadrature."""
     fit = estimate_fi(x_data, theta_grid, delta, half_range, sign, delta_axis)
-    p_moments = _Moments()
-    for block in _blocks(_finite_pairs(p_data)):
-        p_moments.add(np.ascontiguousarray(block))
-    return _witness(fit, p_moments.variances(), displacement_direction(sign, delta_axis))
+    return _witness(fit, _record_variances(p_data), displacement_direction(sign, delta_axis))
 
 
 # The p record of replicate i (part 2) depends on the state, the sample
