@@ -10,7 +10,6 @@ from .estimator import (
     bin_samples,
     default_half_range,
     default_theta_grid,
-    displace_samples,
     estimate_fi,
     estimate_witness,
     hellinger_sq,

@@ -256,7 +256,7 @@ def cmd_fi_angles(args):
 
 def cmd_sample(args):
     spec, state_entries = _spec_from(args)
-    record = sample(build_state(spec), args.samples, args.seed, spec=spec)
+    record = sample(build_state(spec), args.samples, args.seed)
     entries = {**state_entries, "samples": args.samples, "seed": args.seed}
     path = os.path.join(args.out, "samples.csv")
     with _atomic_open(path) as handle:
@@ -364,7 +364,7 @@ def _repro_fig5(args):
     tables = []
     for tag, (ra, rb) in (("a", (0.2, 0.2)), ("b", (0.2, -0.2))):
         spec = StateSpec(ra, rb)
-        record = sample(build_state(spec), 500000, args.seed, spec=spec)
+        record = sample(build_state(spec), 500000, args.seed)
         hist = bin_samples(record, 0.2, 6.0)
         freq = hist.counts / hist.total
         centers = -hist.half_range + hist.delta * (np.arange(hist.n_bins) + 0.5)

@@ -17,22 +17,20 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .moments import displacement_direction
-from .state import QuadratureBasis, P_BASIS, X_BASIS, build_state, measurement_pdf
+from .state import P_BASIS, X_BASIS, build_state, measurement_pdf
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Homodyne outcome record: (x_A, x_B) pairs plus provenance."""
+    """Homodyne outcome record: (x_A, x_B) pairs and the sampler's acceptance
+    rate (nan for a record it did not draw)."""
 
     pairs: np.ndarray
-    seed: int = -1
-    spec: object = None
-    basis: QuadratureBasis = X_BASIS
     acceptance_rate: float = float("nan")
 
     def __len__(self):
@@ -107,7 +105,7 @@ def _blocks_drawn(density, seed, key, count):
         yield _draw_block(density, _rng_for(seed, (*key, b)), min(STREAM_BLOCK, count - s))
 
 
-def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
+def sample(state, m, seed, basis=X_BASIS, stream=0):
     """Draw m i.i.d. outcomes from the measured joint density.
 
     Exact sampling of the density's mixture form (JointDensity): every pair
@@ -130,14 +128,7 @@ def sample(state, m, seed, basis=X_BASIS, spec=None, stream=0):
     pairs = np.empty((m, 2))
     for s, block in zip(range(0, m, STREAM_BLOCK), _blocks_drawn(density, seed, (stream,), m)):
         pairs[s:s + STREAM_BLOCK] = block.T
-    return SampleSet(pairs=pairs, seed=seed, spec=spec, basis=basis, acceptance_rate=1.0)
-
-
-def displace_samples(data, theta, sign=+1, delta=0.0):
-    """Shift every pair so the empirical law matches the displaced density:
-    (x_A, x_B) -> (x_A - theta d_A, x_B - theta d_B)."""
-    d = displacement_direction(sign, delta)
-    return replace(data, pairs=data.pairs - theta * d)
+    return SampleSet(pairs=pairs, acceptance_rate=1.0)
 
 
 @dataclass(frozen=True)
@@ -153,11 +144,6 @@ class BinnedHistogram:
     @property
     def n_bins(self):
         return self.counts.shape[0]
-
-    def frequencies(self):
-        if self.total == 0:
-            raise ValueError("histogram holds no samples")
-        return self.counts / self.total
 
 
 def _finite_pairs(data):
@@ -253,46 +239,35 @@ def bin_samples(data, delta, half_range):
 
 
 class _Moments:
-    """Count, mean and central power sums M_2, M_3, M_4 of each column of a
-    stream of (2, n) column blocks of pairs.
-
-    Each block, of finite pairs, is reduced along its contiguous columns and
-    merged into the totals by the pairwise update of Chan, Golub & LeVeque
-    (1979), extended to the third and fourth powers (Pebay 2008).
+    """Count and power sums S_1 ... S_4 of each column of a stream of (2, n)
+    column blocks of finite pairs, taken about the first block's column
+    means, so the sums of a record far from the origin do not cancel.
     """
 
     def __init__(self):
         self.n = 0
-        self.mean = self.m2 = self.m3 = self.m4 = np.zeros(2)
+        self.shift = None
+        self.sums = np.zeros((4, 2))
 
     def add(self, columns):
-        mean_b = columns.mean(axis=1)
-        dev = columns - mean_b[:, None]
+        if self.shift is None:
+            self.shift = columns.mean(axis=1)[:, None]
+        dev = columns - self.shift
         sq = dev * dev
-        m2_b = sq.sum(axis=1)
-        m3_b = np.einsum("ij,ij->i", sq, dev)
-        m4_b = np.einsum("ij,ij->i", sq, sq)
-        n_a, n_b = float(self.n), float(columns.shape[1])
-        n = n_a + n_b
-        step = mean_b - self.mean
-        step_sq = step * step
-        cross = step_sq * n_a * n_b / n
-        self.m4 = (self.m4 + m4_b + cross * step_sq * (n_a * n_a - n_a * n_b + n_b * n_b) / (n * n)
-                   + 6.0 * step_sq * (n_a * n_a * m2_b + n_b * n_b * self.m2) / (n * n)
-                   + 4.0 * step * (n_a * m3_b - n_b * self.m3) / n)
-        self.m3 = (self.m3 + m3_b + cross * step * (n_a - n_b) / n
-                   + 3.0 * step * (n_a * m2_b - n_b * self.m2) / n)
-        self.m2 = self.m2 + m2_b + cross
-        self.mean = self.mean + step * (n_b / n)
+        self.sums += (dev.sum(axis=1), sq.sum(axis=1), np.einsum("ij,ij->i", sq, dev),
+                      np.einsum("ij,ij->i", sq, sq))
         self.n += columns.shape[1]
 
     def variances(self):
         """(sample variances, their standard errors) of the two columns: the
         ddof=1 variance and sqrt((m_4 - var^2 (n - 3) / (n - 1)) / n), with
-        m_4 the fourth central moment."""
+        m_4 the fourth central moment; both are formed from the sums here."""
         n = self.n
-        var = self.m2 / (n - 1)
-        se_sq = (self.m4 / n - var * var * (n - 3) / (n - 1)) / n
+        mu, s2, s3, s4 = self.sums / n
+        mu_sq = mu * mu
+        var = (s2 - mu_sq) * n / (n - 1)
+        m4 = s4 - 4.0 * mu * s3 + 6.0 * mu_sq * s2 - 3.0 * mu_sq * mu_sq
+        se_sq = (m4 - var * var * (n - 3) / (n - 1)) / n
         return var.tolist(), np.sqrt(np.maximum(se_sq, 0.0)).tolist()
 
 
@@ -302,10 +277,10 @@ def _six_sigma(variance, delta):
 
 
 def _record_variances(data):
-    """_Moments.variances of a record, reduced a contiguous block at a time."""
+    """_Moments.variances of a record, reduced a block at a time."""
     moments = _Moments()
     for block in _blocks(_finite_pairs(data)):
-        moments.add(np.ascontiguousarray(block))
+        moments.add(block)
     return moments.variances()
 
 
@@ -325,7 +300,7 @@ def hellinger_sq(ref, probe):
     if (ref.delta != probe.delta or ref.half_range != probe.half_range
             or ref.counts.shape != probe.counts.shape):
         raise ValueError("histograms must share the same binning geometry")
-    return _hellinger_sq(np.sqrt(ref.frequencies()), np.sqrt(probe.frequencies()))
+    return _hellinger_sq(_root_frequencies(ref.counts), _root_frequencies(probe.counts))
 
 
 def _hellinger_sq(root_ref, root_probe):
@@ -377,7 +352,6 @@ class HellingerFit:
     f_raw: float
     f_corrected: float
     stderr: float
-    stderr_c0: float
     m_half: int
     delta: float
     half_range: float
@@ -466,7 +440,7 @@ class _HellingerTally:
         d2 = np.empty(self.thetas.size)
         for k, counts in self.displaced():
             d2[k] = _hellinger_sq(root_ref, _root_frequencies(counts))
-        c0_hat, a_hat, se_c0, se_a = parabola_fit(self.thetas, d2)
+        c0_hat, a_hat, _, se_a = parabola_fit(self.thetas, d2)
         corr = 1.0 / 8.0 + (1.0 + n_occ) / (32.0 * self.m_half)
         return HellingerFit(
             thetas=self.thetas,
@@ -477,7 +451,6 @@ class _HellingerTally:
             f_raw=8.0 * a_hat,
             f_corrected=a_hat / corr,
             stderr=se_a / corr,
-            stderr_c0=se_c0,
             m_half=self.m_half,
             delta=float(delta),
             half_range=float(half_range),

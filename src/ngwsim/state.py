@@ -138,8 +138,6 @@ def build_state(spec):
     b = np.exp(2.0 * spec.r_b)
     alpha = (a - 1.0) * np.cos(spec.phi_sub)
     beta = (b - 1.0) * np.sin(spec.phi_sub)
-    if abs(alpha) < 1e-12 and abs(beta) < 1e-12:
-        raise DegenerateStateError("photon subtraction weight vanishes for this spec")
     # (V0 - 1) applied to the subtracted mode's x and p directions, up to sign
     u = np.array([alpha / a, 0.0, beta / b, 0.0])
     v = np.array([0.0, alpha, 0.0, beta])

@@ -244,8 +244,8 @@ class TestSampleEstimate:
         assert os.listdir(out) == []
 
     def test_unloadable_record_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        def non_finite(state, m, seed, spec=None):
-            return SampleSet(pairs=np.array([[0.1, np.nan]] * m), seed=seed, spec=spec)
+        def non_finite(state, m, seed):
+            return SampleSet(pairs=np.array([[0.1, np.nan]] * m))
 
         monkeypatch.setattr("ngwsim.cli.sample", non_finite)
         out = tmp_path / "s"

@@ -23,7 +23,6 @@ from ngwsim import (
     build_state,
     default_half_range,
     default_theta_grid,
-    displace_samples,
     displacement_direction,
     estimate_fi,
     estimate_witness,
@@ -37,8 +36,8 @@ from ngwsim import (
     save_samples_csv,
 )
 import ngwsim.estimator
-from ngwsim.estimator import (BLOCK, STREAM_BLOCK, _HellingerTally, _draw_block, _interior,
-                              _p_variances, _rng_for)
+from ngwsim.estimator import (BLOCK, STREAM_BLOCK, _HellingerTally, _Moments, _draw_block,
+                              _interior, _p_variances, _rng_for)
 
 from oracles import (binned_probabilities, binned_witness_reference, grid_norm,
                      split_halves_hellinger_sq)
@@ -270,22 +269,6 @@ class TestMixture:
                    + 1e-6) < 1e-15
         with pytest.raises(ValueError, match="negative somewhere"):
             replace(density, t=scale * density.t)
-
-
-class TestDisplaceSamples:
-    def test_plus_definition(self):
-        data = SampleSet(pairs=np.array([[1.0, -0.5]]))
-        out = displace_samples(data, 0.1, sign=+1)
-        assert np.allclose(out.pairs, [[0.9, -0.6]])
-
-    def test_theta_zero_identity(self):
-        data = SampleSet(pairs=np.array([[1.0, -0.5]]))
-        assert np.allclose(displace_samples(data, 0.0).pairs, data.pairs)
-
-    def test_minus_definition(self):
-        data = SampleSet(pairs=np.array([[1.0, -0.5]]))
-        out = displace_samples(data, 0.1, sign=-1)
-        assert np.allclose(out.pairs, [[0.9, -0.4]])
 
 
 class TestBinning:
@@ -527,6 +510,31 @@ class TestEstimateFi:
         fine = estimate_fi(sample(STATE, 4_000_000, seed=22), delta=0.05)
         assert abs(fine.f_corrected - f_cont) < abs(coarse.f_corrected - f_cont)
         assert abs(coarse.f_corrected - f_cont) / f_cont < 0.2
+
+
+class TestMomentReduction:
+    """_Moments against numpy's two-pass reductions of the whole record."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_two_pass_at_uneven_block_edges(self, offset):
+        # the first block is one pair, so the sums are taken about that pair;
+        # the offset makes uncentred sums lose every digit of the variance
+        record = sample(LOSSY, 1 + 65_535 + 10_007, seed=23, basis=P_BASIS).pairs + offset
+        moments = _Moments()
+        for start, stop in ((0, 1), (1, 65_536), (65_536, len(record))):
+            moments.add(record[start:stop].T)
+        var, err = moments.variances()
+        n = len(record)
+        expected_var = record.var(axis=0, ddof=1)
+        dev = record - record.mean(axis=0)
+        # the offset record's mean is off by about 1e-11, which would move the
+        # fourth moment by 4 m_3 times that: correct it with a second pass
+        dev -= dev.mean(axis=0)
+        m4 = (dev ** 4).mean(axis=0)
+        expected_err = np.sqrt((m4 - expected_var ** 2 * (n - 3) / (n - 1)) / n)
+        assert moments.n == n
+        np.testing.assert_allclose(var, expected_var, rtol=1e-13)
+        np.testing.assert_allclose(err, expected_err, rtol=1e-13)
 
 
 class TestWitnessPipeline:

@@ -99,6 +99,23 @@ class TestBuildState:
             worst = max(worst, dev)
         assert worst < 1e-10
 
+    def test_least_weight_that_passes_the_spec_builds(self):
+        # |cos(phi) sinh(r_a)| = 1.8e-12 passes StateSpec's zero-norm rule, the
+        # only one; beta = 0, so the state is that of subtracting from A alone
+        spec = StateSpec(-2.0, 0.0, np.arccos(5e-13))
+        state = build_state(spec)
+        single = build_state(StateSpec(-2.0, 0.0, 0.0))
+        np.testing.assert_allclose(state.second_moments(), single.second_moments(),
+                                   rtol=1e-12, atol=1e-12)
+        for basis in (X_BASIS, P_BASIS):
+            np.testing.assert_allclose(measurement_pdf(state, basis).weights, [0.0, 0.0, 1.0],
+                                       rtol=1e-12, atol=0.0)
+        gen = GeneratorSpec("displacement", +1)
+        fi = fi_continuous(state, gen)
+        assert abs(fi - qfi_pure(state, gen)) < 1e-12 * fi
+        assert abs(fi - fi_continuous(single, gen)) < 1e-12 * fi
+        assert np.isfinite(sample(state, 1000, seed=1).pairs).all()
+
     def test_single_mode_subtraction_is_product(self):
         cov = build_state(StateSpec(0.2, 0.2, phi_sub=0.0)).second_moments()
         assert abs(cov[0, 2]) < 1e-14 and abs(cov[1, 3]) < 1e-14
