@@ -22,12 +22,10 @@ from .estimator import (
 from .fisher import (
     AngleScanResult,
     NONLOCAL_SATURATING_BASIS,
-    SaturationReport,
     angle_grid_scan,
     fi_continuous,
     optimize_angles,
     qfi_pure,
-    saturation_check,
 )
 from .moments import (
     GeneratorSpec,

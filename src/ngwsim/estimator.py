@@ -162,28 +162,21 @@ def _blocks(pairs, start=0, stop=None):
         yield pairs[s:min(s + STREAM_BLOCK, stop)].T
 
 
-def _flat_cells(columns, shift, delta, half_range, side, mark=None):
+def _flat_cells(columns, shift, delta, half_range, side):
     """Flat indices into the padded (side, side) table of the pairs
     (columns[0] - shift[0], columns[1] - shift[1]).
 
     Along each axis the cell is floor(((x - shift) + half_range) / delta) + 1,
     clipped to [0, side - 1]: the border rows and columns collect the pairs
     outside the grid. The floating-point steps are those of binning a shifted
-    copy, so both give the same cells. A callable passed as mark is called as
-    mark(axis, positions) with each pair's position within its cell along
-    that axis, in units of delta.
+    copy, so both give the same cells.
     """
     flat = None
-    for axis, (x, s) in enumerate(zip(columns, shift)):
+    for x, s in zip(columns, shift):
         t = x - s
         t += half_range
         t /= delta
-        if mark is None:
-            cell = np.floor(t, out=t)
-        else:
-            cell = np.floor(t)
-            t -= cell
-            mark(axis, t)
+        cell = np.floor(t, out=t)
         np.clip(cell, -1.0, side - 2.0, out=cell)
         if flat is None:
             flat = cell
@@ -372,12 +365,12 @@ class _HellingerTally:
     sign moves a coordinate toward the same cell edge, by at most
     reach = max |theta d_k| / delta (+1e-9, far above the roundoff of a
     position inside the grid; pairs farther out stay clipped to the border).
-    The unshifted pass marks the pairs within reach of that edge on either
-    axis, so positions are never stored. The other pairs keep their cells and
+    The pairs whose unshifted position within their cell lies within reach of
+    that edge on either axis are marked. The other pairs keep their cells and
     go into the sign's kept table; the marked ones are binned again for each
     theta, with the exact steps of _flat_cells, into that theta's moved table.
-    When a shift reaches a whole cell every pair is binned again and nothing
-    is kept.
+    When a shift reaches a whole cell every pair is marked, so the kept table
+    stays empty.
     """
 
     def __init__(self, thetas, direction, delta, half_range, m_half):
@@ -394,29 +387,27 @@ class _HellingerTally:
             if group.size:
                 shifts = np.outer(thetas[group], direction)
                 reach = np.abs(shifts).max(axis=0) / delta + 1e-9
-                kept = None if reach.max() >= 1.0 else np.zeros(cells, dtype)
-                self.groups.append((group, shifts, reach, shifts.sum(axis=0) > 0.0, kept))
+                self.groups.append((group, shifts, reach, shifts.sum(axis=0) > 0.0,
+                                    np.zeros(cells, dtype)))
 
     def add_reference(self, columns):
         _add_cells(self.reference, _flat_cells(columns, (0.0, 0.0), *self.geometry))
 
     def add_probe(self, columns):
-        near = [None if kept is None else np.zeros(columns.shape[1], dtype=bool)
-                for *_, kept in self.groups]
-
-        def mark_near(axis, pos):
+        delta, half_range, _ = self.geometry
+        near = [np.zeros(columns.shape[1], dtype=bool) for _ in self.groups]
+        for axis, x in enumerate(columns):
+            # the position within the unshifted cell, in units of delta
+            pos = (x + half_range) / delta
+            pos -= np.floor(pos)
             for (_, _, reach, toward_lower, _), mask in zip(self.groups, near):
-                if mask is not None:
-                    r = reach[axis]
-                    mask |= pos < r if toward_lower[axis] else pos > 1.0 - r
-
-        flat0 = _flat_cells(columns, (0.0, 0.0), *self.geometry, mark_near)
+                r = reach[axis]
+                mask |= pos < r if toward_lower[axis] else pos > 1.0 - r
+        flat0 = _flat_cells(columns, (0.0, 0.0), *self.geometry)
         _add_cells(self.probe, flat0)
         for (group, shifts, _, _, kept), mask in zip(self.groups, near):
-            moving = columns
-            if kept is not None:
-                _add_cells(kept, flat0[~mask])
-                moving = columns.compress(mask, axis=1)
+            _add_cells(kept, flat0[~mask])
+            moving = columns.compress(mask, axis=1)
             for k, shift in zip(group, shifts):
                 _add_cells(self.moved[k], _flat_cells(moving, shift, *self.geometry))
 
@@ -426,7 +417,7 @@ class _HellingerTally:
         side = self.geometry[2]
         for group, _, _, _, kept in self.groups:
             for k in group:
-                yield k, _interior(self.moved[k] if kept is None else self.moved[k] + kept, side)
+                yield k, _interior(self.moved[k] + kept, side)
 
     def fit(self):
         """HellingerFit of the tables: the squared Hellinger distance of each
@@ -466,8 +457,8 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
     squared Hellinger distance is fit against c0 + a theta^2. The curvature
     gives F_raw = 8 a and the bias-corrected value
     F = a / (1/8 + (1 + n)/(32 (M/2))) with n the occupied-bin count. The
-    halves are fed block by block to _HellingerTally, the path replicate
-    streams its draws through. A grid needs at least 4 finite points and two
+    halves are fed block by block through _fit, the path replicate streams
+    its draws through. A grid needs at least 4 finite points and two
     distinct |theta|. Without half_range the grid spans default_half_range.
     """
     thetas = _checked_grid(theta_grid)
@@ -480,9 +471,14 @@ def estimate_fi(data, theta_grid=None, delta=0.1, half_range=None, sign=+1,
         half_range = default_half_range(pairs, delta)
     tally = _HellingerTally(thetas, displacement_direction(sign, delta_axis), delta,
                             half_range, m_half)
-    for block in _blocks(pairs, 0, m_half):
+    return _fit(tally, _blocks(pairs, 0, m_half), _blocks(pairs, m_half, 2 * m_half))
+
+
+def _fit(tally, reference_blocks, probe_blocks):
+    """HellingerFit of a tally fed two halves as (2, n) column blocks."""
+    for block in reference_blocks:
         tally.add_reference(block)
-    for block in _blocks(pairs, m_half, 2 * m_half):
+    for block in probe_blocks:
         tally.add_probe(block)
     return tally.fit()
 
@@ -620,12 +616,10 @@ def replicate(spec, samples, reps, seed, delta=0.1, theta_grid=None,
     m_half = samples // 2
 
     def one(i):
-        tally = _HellingerTally(thetas, direction, delta, half_range, m_half)
-        for block in _blocks_drawn(x_density, seed, (i, 0), m_half):
-            tally.add_reference(block)
-        for block in _blocks_drawn(x_density, seed, (i, 1), m_half):
-            tally.add_probe(block)
-        return _witness(tally.fit(), _p_variances(spec, samples, seed, i), direction)
+        fit = _fit(_HellingerTally(thetas, direction, delta, half_range, m_half),
+                   _blocks_drawn(x_density, seed, (i, 0), m_half),
+                   _blocks_drawn(x_density, seed, (i, 1), m_half))
+        return _witness(fit, _p_variances(spec, samples, seed, i), direction)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -108,14 +108,14 @@ def qfi_pure(state, gen):
     return 4.0 * generator_total_variance(state, gen)
 
 
-def _golden_section(fun, lo, hi, iterations=26):
-    """Deterministic golden-section maximization on [lo, hi]."""
+def _golden_section(fun, lo, hi):
+    """Deterministic golden-section maximization on [lo, hi], 26 steps."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iterations):
+    for _ in range(26):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -127,7 +127,7 @@ def _golden_section(fun, lo, hi, iterations=26):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def angle_grid_scan(state, gen, grid_step, theta0=0.0):
+def angle_grid_scan(state, gen, grid_step):
     """Fisher information on the (phi_A, phi_B) grid covering [0, pi)^2.
 
     Returns (angles, matrix) with matrix[i, j] the FI at (angles[i], angles[j]).
@@ -137,7 +137,7 @@ def angle_grid_scan(state, gen, grid_step, theta0=0.0):
         raise ValueError(f"angle grid step must be positive and finite, got {grid_step!r}")
     angles = np.arange(0.0, np.pi - 1e-12, grid_step)
     values = np.array([
-        fi_continuous(state, gen, QuadratureBasis(pa, pb), theta0)
+        fi_continuous(state, gen, QuadratureBasis(pa, pb))
         for pa in angles for pb in angles
     ])
     return angles, values.reshape(len(angles), len(angles))
@@ -155,17 +155,17 @@ class AngleScanResult:
     f_grid: np.ndarray
 
 
-def optimize_angles(state, gen, grid_step=np.pi / 20, theta0=0.0, refine=True):
+def optimize_angles(state, gen, grid_step=np.pi / 20, refine=True):
     """Exhaustive grid scan of the FI over local angles with local refinement.
 
     The grid argmax breaks ties toward the lexicographically smallest pair;
     refinement runs golden-section sweeps along each axis within one grid step.
     """
-    angles, grid = angle_grid_scan(state, gen, grid_step, theta0)
+    angles, grid = angle_grid_scan(state, gen, grid_step)
     best = grid.max()
-    # ties within quadrature noise (symmetric twin maxima) break toward the
-    # lexicographically smallest angle pair
-    near = np.argwhere(grid >= best - 1e-5 * abs(best))
+    # symmetric twin maxima agree to roundoff (within 7e-16 relative on the
+    # appB grids); ties break toward the lexicographically smallest pair
+    near = np.argwhere(grid >= best - 1e-12 * abs(best))
     ia, ib = min(map(tuple, near))
     pa, pb = angles[ia], angles[ib]
     f_best = grid[ia, ib]
@@ -174,35 +174,11 @@ def optimize_angles(state, gen, grid_step=np.pi / 20, theta0=0.0, refine=True):
     if refine:
         for _ in range(2):
             pa, f_best = _golden_section(
-                lambda t: fi_continuous(state, gen, QuadratureBasis(t, pb), theta0),
+                lambda t: fi_continuous(state, gen, QuadratureBasis(t, pb)),
                 pa - grid_step, pa + grid_step)
             pb, f_best = _golden_section(
-                lambda t: fi_continuous(state, gen, QuadratureBasis(pa, t), theta0),
+                lambda t: fi_continuous(state, gen, QuadratureBasis(pa, t)),
                 pb - grid_step, pb + grid_step)
         result.update(phi_a=pa % np.pi, phi_b=pb % np.pi, f_max=f_best)
     return AngleScanResult(**result)
 
-
-@dataclass(frozen=True)
-class SaturationReport:
-    qfi: float
-    best_local_f: float
-    best_local_angles: tuple
-    nonlocal_f: float
-    local_gap: float
-    nonlocal_gap: float
-
-
-def saturation_check(state, gen, grid_step=np.pi / 20):
-    """Compare the best local-angle FI and the mixed-mode basis FI to the QFI."""
-    qfi = qfi_pure(state, gen)
-    scan = optimize_angles(state, gen, grid_step=grid_step)
-    f_nonlocal = fi_continuous(state, gen, NONLOCAL_SATURATING_BASIS)
-    return SaturationReport(
-        qfi=qfi,
-        best_local_f=scan.f_max,
-        best_local_angles=(scan.phi_a, scan.phi_b),
-        nonlocal_f=f_nonlocal,
-        local_gap=qfi - scan.f_max,
-        nonlocal_gap=qfi - f_nonlocal,
-    )

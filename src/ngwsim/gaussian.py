@@ -73,7 +73,11 @@ def symplectic_eigenvalues(cov):
     return nu[::2].copy()
 
 
-def check_physical(cov, tol=1e-9):
+# slack of the uncertainty bound nu >= 1 and of the partial-transpose test
+SYMPLECTIC_TOL = 1e-9
+
+
+def check_physical(cov):
     """Raise UnphysicalCovarianceError unless cov is symmetric, positive and
     satisfies the uncertainty bound cov + i*OMEGA >= 0."""
     cov = np.asarray(cov, dtype=float)
@@ -82,7 +86,7 @@ def check_physical(cov, tol=1e-9):
     if np.linalg.eigvalsh(cov).min() <= 0:
         raise UnphysicalCovarianceError("covariance is not positive-definite")
     nu = symplectic_eigenvalues(cov)
-    if nu.min() < 1.0 - tol:
+    if nu.min() < 1.0 - SYMPLECTIC_TOL:
         raise UnphysicalCovarianceError(
             f"uncertainty bound violated: min symplectic eigenvalue {nu.min():.6g} < 1"
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError
-from .gaussian import check_physical, symplectic_eigenvalues
+from .gaussian import SYMPLECTIC_TOL, check_physical, symplectic_eigenvalues
 
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose flips p_B
 
@@ -90,7 +90,7 @@ class SeparabilityVerdict:
         return self.detected
 
 
-def gaussian_separability_check(cov, tol=1e-9):
+def gaussian_separability_check(cov):
     """Partial-transpose symplectic-eigenvalue test on a 4x4 covariance matrix.
 
     Returns a verdict whose ``detected`` flag is True when the covariance
@@ -98,10 +98,10 @@ def gaussian_separability_check(cov, tol=1e-9):
     built here are never detected this way: the subtraction only adds
     Gaussian noise at the second-moment level.
     """
-    nu = check_physical(cov, tol=tol)
+    nu = check_physical(cov)
     nu_pt = symplectic_eigenvalues(_PT @ np.asarray(cov, dtype=float) @ _PT)
     return SeparabilityVerdict(
-        detected=bool(nu_pt.min() < 1.0 - tol),
+        detected=bool(nu_pt.min() < 1.0 - SYMPLECTIC_TOL),
         nu_min=float(nu.min()),
         nu_pt_min=float(nu_pt.min()),
     )

@@ -1,4 +1,5 @@
-"""csv_diff() and describe() of tools/bundle_diff.py on synthetic CSV pairs."""
+"""csv_diff() and describe() of tools/bundle_diff.py on synthetic CSV pairs, and
+the printed output that run_all() keeps with each bundle."""
 
 import importlib.util
 import math
@@ -62,3 +63,14 @@ def test_describe_lists_columns_of_a_csv_and_lines_of_other_files(tmp_path):
     (tmp_path / "b.manifest").write_text("tool = x\noutput a.csv sha256 = 02\nseed = 1\n")
     assert bundle_diff.describe(str(tmp_path / "a.manifest"),
                                 str(tmp_path / "b.manifest")) == "lines 2 differ"
+
+
+def test_run_all_keeps_printed_lines_without_the_output_path(tmp_path, monkeypatch):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    monkeypatch.setattr(bundle_diff, "COMMANDS", [("fi_pure", ["fi", "--ra", "0.2"])])
+    bundle_diff.run_all(root, str(tmp_path))
+    printed = (tmp_path / "fi_pure" / bundle_diff.STDOUT_FILE).read_text().splitlines()
+    assert printed[0].startswith("F = ") and "QFI = " in printed[0]
+    assert printed[1] == os.path.join(bundle_diff.OUT_TOKEN, "fi.csv")
+    assert str(tmp_path) not in "\n".join(printed)
+

@@ -19,6 +19,7 @@ from ngwsim import (
     shear_ridge_value,
     witness_value,
 )
+from ngwsim.gaussian import check_physical
 
 from oracles import tmsv_covariance
 from test_state import random_specs
@@ -148,3 +149,9 @@ class TestSeparability:
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalCovarianceError):
             gaussian_separability_check(0.5 * np.eye(4))
+
+    def test_uncertainty_bound_slack_is_1e9(self):
+        # mode A's symplectic eigenvalue is nu
+        check_physical(np.diag([1.0 - 1e-10, 1.0 - 1e-10, 1.0, 1.0]))
+        with pytest.raises(UnphysicalCovarianceError, match="uncertainty bound"):
+            check_physical(np.diag([1.0 - 1e-8, 1.0 - 1e-8, 1.0, 1.0]))

@@ -8,7 +8,9 @@ Usage, from the root of a git checkout of ngw-sim:
 Both commits are exported with tools/ab_bench.py's export into fresh
 temporary directories. On each side every command of COMMANDS runs in a
 fresh interpreter on that side's src/, with NGW_THREADS=1 and an output
-directory of its own. Then each file is reported as "identical" (same
+directory of its own; what the command prints goes into that directory as
+STDOUT_FILE, with the directory's path replaced by OUT_TOKEN, so printed
+lines are compared like the files. Then each file is reported as "identical" (same
 bytes), as the CSV columns that differ with their largest relative
 difference |a - b| / max(|a|, |b|), or, for other files, as the lines that
 differ. The exit status is 0 when every file is identical and 1 otherwise.
@@ -49,15 +51,23 @@ COMMANDS = [
 ]
 
 
+STDOUT_FILE = "stdout.txt"
+OUT_TOKEN = "<out>"
+
+
 def run_all(root, out):
-    """Run COMMANDS with root's src/ into subdirectories of out."""
+    """Run COMMANDS with root's src/ into subdirectories of out, each with
+    the command's standard output as STDOUT_FILE."""
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "NGW_THREADS": "1"}
     for name, argv in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "ngwsim.cli", *argv, "--out",
-                               os.path.join(out, name)], cwd=root, env=env,
-                              capture_output=True, text=True)
+        target = os.path.join(out, name)
+        proc = subprocess.run([sys.executable, "-m", "ngwsim.cli", *argv, "--out", target],
+                              cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{name} failed in {root}:\n{proc.stderr[-2000:]}")
+        os.makedirs(target, exist_ok=True)
+        with open(os.path.join(target, STDOUT_FILE), "w") as handle:
+            handle.write(proc.stdout.replace(target, OUT_TOKEN))
 
 
 def _rel_diff(a, b):
