@@ -10,10 +10,10 @@ temporary directories. On each side every command of COMMANDS runs in a
 fresh interpreter on that side's src/, with NGW_THREADS=1 and an output
 directory of its own; what the command prints goes into that directory as
 STDOUT_FILE, with the directory's path replaced by OUT_TOKEN, so printed
-lines are compared like the files. Then each file is reported as "identical" (same
-bytes), as the CSV columns that differ with their largest relative
-difference |a - b| / max(|a|, |b|), or, for other files, as the lines that
-differ. The exit status is 0 when every file is identical and 1 otherwise.
+lines are compared like the files. Then each file is reported as
+"identical" (same bytes), as the CSV columns that differ with their largest
+relative difference |a - b| / max(|a|, |b|), or, for other files, as the
+lines that differ. The exit status is 0 when every file is identical and 1 otherwise.
 """
 
 import argparse
@@ -49,8 +49,6 @@ COMMANDS = [
     ("reproduce_fig6", ["reproduce", "fig6", "--sample-counts", "200000",
                         "--deltas", "0.1,0.4", "--reps", "2"]),
 ]
-
-
 STDOUT_FILE = "stdout.txt"
 OUT_TOKEN = "<out>"
 
@@ -65,7 +63,6 @@ def run_all(root, out):
                               cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{name} failed in {root}:\n{proc.stderr[-2000:]}")
-        os.makedirs(target, exist_ok=True)
         with open(os.path.join(target, STDOUT_FILE), "w") as handle:
             handle.write(proc.stdout.replace(target, OUT_TOKEN))
 
