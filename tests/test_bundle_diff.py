@@ -73,4 +73,3 @@ def test_run_all_keeps_printed_lines_without_the_output_path(tmp_path, monkeypat
     assert printed[0].startswith("F = ") and "QFI = " in printed[0]
     assert printed[1] == os.path.join(bundle_diff.OUT_TOKEN, "fi.csv")
     assert str(tmp_path) not in "\n".join(printed)
-
